@@ -13,8 +13,9 @@ Subcommands:
 Vertex numbers on the command line are 1-based, matching the file format.
 Exit codes: 0 success (and all proven properties pass), 1 a proven
 property failed, 2 unreadable or malformed input file, 3 invalid graph or
-structure, 4 usage error.  A falsified open conjecture is reported and
-archived but does not fail the process.
+structure, 4 usage error, 5 internal error (any other exception).  A
+falsified open conjecture is reported and archived but does not fail the
+process.
 """
 
 from __future__ import annotations
@@ -423,6 +424,9 @@ def main(argv=None) -> int:
     except (GraphError, StructureError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 def entry() -> None:

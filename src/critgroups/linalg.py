@@ -14,13 +14,22 @@ needed to study integer matrices up to unimodular equivalence:
 Indices are 0-based throughout.  A "minor" here is the (unsigned)
 determinant of the submatrix selected by a row set and a column set of
 equal size; no cofactor sign is applied.
+
+Minor GCDs come from scans over explicitly evaluated minors.  The scans
+of one matrix share a minor table that walks the sizes k = 1, 2, ... and
+keeps only the previous size and the current one.  A k x k minor is
+expanded along its last row from the stored (k-1) x (k-1) minors when the
+D_{k-1} scan evaluated every one of them; otherwise (the scan stopped
+early at GCD 1, or a size has more than 2**15 minors and is not stored)
+it is computed by Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 
 @dataclass(frozen=True)
@@ -237,6 +246,118 @@ def _column_gcd(entries, j: int) -> int:
     return g
 
 
+_TABLE_CAP = 1 << 15  # a size with more minors than this is not stored
+
+
+class _MinorTable:
+    """The minors of one matrix, evaluated size by size.
+
+    The table walks sizes k = 1, 2, ... in order and keeps two of them:
+    the previous size and the current one, each as
+    ``{row_set: {col_set: minor}}``.  A size is stored only when it has at
+    most ``_TABLE_CAP`` minors.  A k x k minor is expanded along its last
+    row from the (k-1) x (k-1) minors when the previous size is stored and
+    complete, that is, when its D_{k-1} scan ran to the end; otherwise it
+    is computed by Bareiss elimination.
+
+    At each size the corner scan (D_k*) comes first; the full scan (D_k)
+    then starts from its GCD and skips the corner minors, so no minor is
+    evaluated twice.  Both scans are lexicographic and stop as soon as
+    the running GCD reaches 1.
+    """
+
+    def __init__(self, m: IntegerMatrix) -> None:
+        self.entries = m.entries
+        self.rows = m.rows
+        self.cols = m.cols
+        self.size = 0  # size 0 is not stored: a 1 x 1 minor is an entry
+        self.store: dict | None = None
+        self.complete = False
+        self.prev: dict | None = None
+        self.terms: dict = {}
+        self.corner_g: int | None = None
+
+    def _goto(self, k: int) -> None:
+        """Make k the current size, keeping size k - 1 if it is complete."""
+        if k == self.size:
+            return
+        self.prev = self.store if k == self.size + 1 and self.complete else None
+        self.size = k
+        self.store = {} if comb(self.rows, k) * comb(self.cols, k) <= _TABLE_CAP else None
+        self.complete = False
+        self.terms = {}
+        self.corner_g = None
+
+    def _expand(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
+        """The minor on row set ri and column set ci, from the previous size."""
+        terms = self.terms.get(ci)
+        if terms is None:
+            # Laplace terms along the last row: column ci[t] pairs with the
+            # (k-1)-minor on ci without ci[t], with sign (-1)**(k-1+t).
+            k = len(ci)
+            drops = [(ci[t], ci[:t] + ci[t + 1 :]) for t in range(k)]
+            terms = self.terms[ci] = (drops[(k - 1) % 2 :: 2], drops[k % 2 :: 2])
+        row = self.entries[ri[-1]]
+        sub = self.prev[ri[:-1]]
+        plus, minus = terms
+        total = 0
+        for c, rest in plus:
+            x = row[c]
+            if x:
+                total += x * sub[rest]
+        for c, rest in minus:
+            x = row[c]
+            if x:
+                total -= x * sub[rest]
+        return total
+
+    def _scan(self, pairs, g: int) -> tuple[int, bool]:
+        """Fold the minors at (row set, column sets) pairs into g.
+
+        Returns the GCD and whether the scan ran to the end.
+        """
+        store = self.store
+        evaluate = self._expand if self.prev is not None else partial(_minor_det, self.entries)
+        for ri, col_sets in pairs:
+            slots = None if store is None else store.setdefault(ri, {})
+            for ci in col_sets:
+                x = evaluate(ri, ci)
+                if slots is not None:
+                    slots[ci] = x
+                g = gcd(g, x)
+                if g == 1:
+                    return 1, False
+        return g, True
+
+    def corner_gcd(self, k: int) -> int:
+        """D_k*: GCD of the k x k minors through the last row and column."""
+        self._goto(k)
+        last_r = self.rows - 1
+        last_c = self.cols - 1
+        col_sets = [h + (last_c,) for h in combinations(range(last_c), k - 1)]
+        heads = combinations(range(last_r), k - 1)
+        self.corner_g, _ = self._scan(((h + (last_r,), col_sets) for h in heads), 0)
+        return self.corner_g
+
+    def all_gcd(self, k: int) -> int:
+        """D_k: GCD of all k x k minors, reusing this size's corner scan."""
+        self._goto(k)
+        g = self.corner_g
+        if g == 1:
+            return 1
+        every = list(combinations(range(self.cols), k))
+        row_sets = combinations(range(self.rows), k)
+        if g is None:
+            pairs = ((ri, every) for ri in row_sets)
+            g = 0
+        else:
+            last_r = self.rows - 1
+            other = list(combinations(range(self.cols - 1), k))
+            pairs = ((ri, other if ri[-1] == last_r else every) for ri in row_sets)
+        g, self.complete = self._scan(pairs, g)
+        return g
+
+
 def minor_gcd_all(m: IntegerMatrix, k: int) -> int:
     """GCD of all k x k minors (the k-th determinantal divisor D_k).
 
@@ -249,15 +370,7 @@ def minor_gcd_all(m: IntegerMatrix, k: int) -> int:
         raise ValueError(f"k={k} out of range 0..{size}")
     if k == 0:
         return 1
-    entries = m.entries
-    g = 0
-    col_sets = tuple(combinations(range(m.cols), k))
-    for ri in combinations(range(m.rows), k):
-        for ci in col_sets:
-            g = gcd(g, _minor_det(entries, ri, ci))
-            if g == 1:
-                return 1
-    return g
+    return _MinorTable(m).all_gcd(k)
 
 
 def minor_gcd_corner(m: IntegerMatrix, k: int) -> int:
@@ -268,35 +381,42 @@ def minor_gcd_corner(m: IntegerMatrix, k: int) -> int:
     size = min(m.rows, m.cols)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} out of range 1..{size}")
-    entries = m.entries
-    last_r = m.rows - 1
-    last_c = m.cols - 1
-    g = 0
-    col_sets = tuple(ci + (last_c,) for ci in combinations(range(last_c), k - 1))
-    for ri_head in combinations(range(last_r), k - 1):
-        ri = ri_head + (last_r,)
-        for ci in col_sets:
-            g = gcd(g, _minor_det(entries, ri, ci))
-            if g == 1:
-                return 1
-    return g
+    return _MinorTable(m).corner_gcd(k)
+
+
+def minor_gcd_sequence(m: IntegerMatrix) -> tuple[int, ...]:
+    """(D_0, ..., D_min) of one matrix, all from one minor table.
+
+    Once D_k = 0 every larger minor vanishes too, so the scan stops there
+    and the remaining values are 0.
+    """
+    table = _MinorTable(m)
+    dk = [1]
+    for k in range(1, min(m.rows, m.cols) + 1):
+        dk.append(0 if dk[-1] == 0 else table.all_gcd(k))
+    return tuple(dk)
+
+
+def minor_gcd_corner_sequence(m: IntegerMatrix) -> tuple[int, ...]:
+    """(D_1*, ..., D_min*) of one matrix, all from one minor table."""
+    table = _MinorTable(m)
+    return tuple(table.corner_gcd(k) for k in range(1, min(m.rows, m.cols) + 1))
 
 
 def minor_gcd_profile(m: IntegerMatrix) -> MinorGcdProfile:
     """Compute dk, dk_star and the row/column GCDs of one matrix.
 
-    Once D_k = 0 every larger minor vanishes too, so the dk scan stops
-    early; the dk_star values do not inherit zeros that way and are each
-    computed outright.
+    One minor table serves every size: D_k* is scanned first and D_k
+    continues from it.  Once D_k = 0 every larger minor vanishes too, so
+    the dk scan stops early; the dk_star values do not inherit zeros that
+    way and are each computed outright.
     """
-    size = min(m.rows, m.cols)
+    table = _MinorTable(m)
     dk = [1]
-    for k in range(1, size + 1):
-        if dk[-1] == 0:
-            dk.append(0)
-            continue
-        dk.append(minor_gcd_all(m, k))
-    dk_star = [minor_gcd_corner(m, k) for k in range(1, size + 1)]
+    dk_star = []
+    for k in range(1, min(m.rows, m.cols) + 1):
+        dk_star.append(table.corner_gcd(k))
+        dk.append(0 if dk[-1] == 0 else table.all_gcd(k))
     row_gcds = tuple(row_gcd(m, i) for i in range(m.rows))
     col_gcds = tuple(_column_gcd(m.entries, j) for j in range(m.cols))
     return MinorGcdProfile(tuple(dk), tuple(dk_star), row_gcds, col_gcds)

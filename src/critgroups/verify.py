@@ -42,9 +42,9 @@ from .linalg import (
     chio_condense,
     desnanot_jacobi_residual,
     determinant,
-    minor_gcd_all,
-    minor_gcd_corner,
+    minor_gcd_corner_sequence,
     minor_gcd_profile,
+    minor_gcd_sequence,
     row_gcd,
     smith_normal_form,
 )
@@ -193,15 +193,6 @@ def _na(pid: PropertyId) -> PropertyReport:
     return PropertyReport(pid, NOT_APPLICABLE)
 
 
-def _dk_vector(m: IntegerMatrix) -> list[int]:
-    """[D_0, ..., D_min] with the early-zero shortcut of the profile."""
-    size = min(m.rows, m.cols)
-    dk = [1]
-    for k in range(1, size + 1):
-        dk.append(0 if dk[-1] == 0 else minor_gcd_all(m, k))
-    return dk
-
-
 def verify_minor_properties(m: IntegerMatrix) -> list[PropertyReport]:
     """Run the whole matrix family of checks on one matrix.
 
@@ -231,7 +222,7 @@ def verify_minor_properties(m: IntegerMatrix) -> list[PropertyReport]:
     if subs:
         chk = _Checker(PropertyId.MINORFACTS_B, payload)
         for which, sub in enumerate(subs):
-            sub_dk = _dk_vector(sub)
+            sub_dk = minor_gcd_sequence(sub)
             for k in range(1, min(sub.rows, sub.cols) + 1):
                 chk.check_divides(
                     dk[k], sub_dk[k], submatrix=which, k=k, dk=dk[k], sub_dk=sub_dk[k]
@@ -243,8 +234,7 @@ def verify_minor_properties(m: IntegerMatrix) -> list[PropertyReport]:
     if m.rows >= 2 and m.cols >= 2:
         sub = m.submatrix(range(1, m.rows), range(1, m.cols))
         chk = _Checker(PropertyId.MINORFACTS_C, payload)
-        for k in range(1, min(sub.rows, sub.cols) + 1):
-            sub_star = minor_gcd_corner(sub, k)
+        for k, sub_star in enumerate(minor_gcd_corner_sequence(sub), start=1):
             chk.check_divides(dks[k - 1], sub_star, k=k, dk_star=dks[k - 1], sub_dk_star=sub_star)
         reports[PropertyId.MINORFACTS_C] = chk.report()
     else:
@@ -371,7 +361,7 @@ def _operation_data(
         raise ArithmeticError(f"L' has Smith rank {snf2.rank}, expected {n - 2}")
     if with_profiles:
         prof = minor_gcd_profile(lp)
-        dk, dk_star, dk_prime = prof.dk, prof.dk_star, minor_gcd_profile(l2).dk
+        dk, dk_star, dk_prime = prof.dk, prof.dk_star, minor_gcd_sequence(l2)
     else:
         dk = dk_star = dk_prime = ()
     alpha = snf.diag[: n - 1]

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import critgroups.cli as cli
 import critgroups.verify as verify
 from critgroups.cli import main
 from critgroups.jsonio import fixture_path, load_graph, load_structure
@@ -161,6 +162,16 @@ def test_usage_errors_exit_4(capsys):
     assert run_cli(capsys, "enumerate", NONSIMPLE_GRAPH, "--rmax", "0")[0] == 4
     assert run_cli(capsys, "apply-op", NONSIMPLE_GRAPH, NONSIMPLE_A, "--vertex", "9", "--out", "x")[0] == 4
     assert run_cli(capsys, "apply-op", NONSIMPLE_GRAPH, NONSIMPLE_A, "--vertex", "0", "--out", "x")[0] == 4
+
+
+def test_internal_error_exits_5(capsys, monkeypatch):
+    def broken(g, s, v):
+        raise ArithmeticError("L has Smith rank 2, expected 3")
+
+    monkeypatch.setattr(cli, "verify_operation_theorems", broken)
+    code, _, err = run_cli(capsys, "verify", NONSIMPLE_GRAPH, NONSIMPLE_B, "--vertex", "4")
+    assert code == 5
+    assert err == "internal error: ArithmeticError: L has Smith rank 2, expected 3\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import critgroups.linalg as linalg
+from critgroups.enumeration import EnumerationQuery, enumerate_structures
+from critgroups.graphs import Multigraph, structure_matrix
 from critgroups.linalg import (
     IntegerMatrix,
     MinorSpec,
@@ -28,6 +31,7 @@ from critgroups.linalg import (
     row_gcd,
     smith_normal_form,
 )
+from critgroups.verify import FuzzConfig, case_matrix
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -281,6 +285,96 @@ def test_profile_frozen_for_example_matrix():
     assert prof.dk_star == (8, 4, 24, 0)
     assert prof.row_gcds == (1, 1, 1, 2)
     assert prof.col_gcds == (1, 1, 1, 2)
+
+
+def _complete_scan_cases():
+    """(matrix, D_k, D_k*) triples whose D_k scans run to the end.
+
+    Scaling by c makes every k x k minor a multiple of c**k, so no scan
+    stops at GCD 1 and every size past the first is built by expansion.
+    Structure matrices reach it at full size: their D_{n-1} > 1 needs a
+    complete scan.  D_k does not depend on which vertex is last, so its
+    oracle runs once per structure.
+    """
+    cases = []
+    cfg = FuzzConfig(seed=0, matrix_dims=(3, 6))
+    for index in range(40):
+        factor = (2, 3, 6)[index % 3]
+        rows = [[factor * x for x in row] for row in case_matrix(cfg, index).entries]
+        size = min(len(rows), len(rows[0]))
+        dk = tuple(brute_minor_gcd(rows, k) for k in range(size + 1))
+        dk_star = tuple(brute_minor_gcd(rows, k, corner=True) for k in range(1, size + 1))
+        cases.append((IntegerMatrix.from_rows(rows), dk, dk_star))
+    for g in (Multigraph.path(5), Multigraph.cycle(5)):
+        for s in enumerate_structures(EnumerationQuery(g, 8)):
+            rows = [list(r) for r in structure_matrix(g, s).entries]
+            dk = tuple(brute_minor_gcd(rows, k) for k in range(6))
+            for v in range(5):
+                m = structure_matrix(g, s, last_vertex=v)
+                rows = [list(r) for r in m.entries]
+                dk_star = tuple(brute_minor_gcd(rows, k, corner=True) for k in range(1, 6))
+                cases.append((m, dk, dk_star))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def complete_scan_cases():
+    return _complete_scan_cases()
+
+
+def _count_expansions(monkeypatch) -> list[int]:
+    expanded = [0]
+    expand = linalg._MinorTable._expand
+
+    def counting(self, ri, ci):
+        expanded[0] += 1
+        return expand(self, ri, ci)
+
+    monkeypatch.setattr(linalg._MinorTable, "_expand", counting)
+    return expanded
+
+
+def test_profile_matches_oracle_on_complete_scans(complete_scan_cases, monkeypatch):
+    expanded = _count_expansions(monkeypatch)
+    for m, dk, dk_star in complete_scan_cases:
+        prof = minor_gcd_profile(m)
+        assert (prof.dk, prof.dk_star) == (dk, dk_star), m.entries
+    assert expanded[0] > 0
+
+
+def test_profile_without_stored_sizes_falls_back_to_bareiss(complete_scan_cases, monkeypatch):
+    # a cap of 4 stores no size that a larger one could expand from, which is
+    # the path every size of a large matrix takes
+    monkeypatch.setattr(linalg, "_TABLE_CAP", 4)
+    expanded = _count_expansions(monkeypatch)
+    for m, dk, dk_star in complete_scan_cases:
+        prof = minor_gcd_profile(m)
+        assert (prof.dk, prof.dk_star) == (dk, dk_star), m.entries
+    assert expanded[0] == 0
+
+
+def test_profile_evaluates_each_minor_once(simple7, monkeypatch):
+    g, s = simple7
+    m = structure_matrix(g, s)
+    evaluated = []
+    det = linalg._minor_det
+    expand = linalg._MinorTable._expand
+
+    def counting_det(entries, ri, ci):
+        evaluated.append((ri, ci))
+        return det(entries, ri, ci)
+
+    def counting_expand(self, ri, ci):
+        evaluated.append((ri, ci))
+        return expand(self, ri, ci)
+
+    monkeypatch.setattr(linalg, "_minor_det", counting_det)
+    monkeypatch.setattr(linalg._MinorTable, "_expand", counting_expand)
+    prof = minor_gcd_profile(m)
+    # D_6 > 1: both size-6 scans run to the end, so they meet on the corner minors
+    assert prof.dk[6] > 1
+    assert evaluated
+    assert len(evaluated) == len(set(evaluated))
 
 
 # ---------------------------------------------------------------------------
