@@ -13,9 +13,9 @@ Subcommands:
 Vertex numbers on the command line are 1-based, matching the file format.
 Exit codes: 0 success (and all proven properties pass), 1 a proven
 property failed, 2 unreadable or malformed input file, 3 invalid graph or
-structure, 4 usage error, 5 internal error (any other exception).  A
-falsified open conjecture is reported and archived but does not fail the
-process.
+structure, 4 usage error (an output or witness file that cannot be written
+included), 5 internal error (any other exception).  A falsified open
+conjecture is reported and archived but does not fail the process.
 """
 
 from __future__ import annotations
@@ -27,17 +27,8 @@ from pathlib import Path
 
 from . import jsonio
 from .enumeration import EnumerationQuery, enumerate_structures
-from .graphs import (
-    GraphError,
-    StructureError,
-    critical_group,
-    laplacian_structure,
-    star_clique_reduction,
-    structure_matrix,
-    validate_structure,
-)
+from .graphs import GraphError, StructureError, laplacian_structure
 from .jsonio import FileFormatError
-from .linalg import minor_gcd_profile, row_gcd, smith_normal_form
 from .verify import (
     FAIL,
     NOT_APPLICABLE,
@@ -47,6 +38,7 @@ from .verify import (
     check_conjecture_alpha,
     check_conjecture_minors,
     fuzz_campaign,
+    instance_of,
     verify_minor_properties,
     verify_operation_theorems,
 )
@@ -61,7 +53,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_pair(args):
+def _load_instance(args):
+    """The validated instance of the graph and structure named on the command line."""
     g = jsonio.load_graph(args.graph)
     if getattr(args, "laplacian", False):
         if getattr(args, "structure", None) is not None:
@@ -75,10 +68,7 @@ def _load_pair(args):
             raise StructureError(
                 f"structure has {s.n} vertices but the graph has {g.n}"
             )
-        violation = validate_structure(g, s.d, s.r)
-        if violation is not None:
-            raise StructureError(violation.message)
-    return g, s
+    return instance_of(g, s)
 
 
 def _vertex_index(args, n: int) -> int:
@@ -97,11 +87,8 @@ def _emit_json(payload) -> None:
 
 
 def cmd_critgroup(args) -> int:
-    g, s = _load_pair(args)
-    cg = critical_group(g, s)
-    mat = structure_matrix(g, s)
-    snf = smith_normal_form(mat)
-    prof = minor_gcd_profile(mat)
+    inst = _load_instance(args)
+    g, s, cg, snf, prof = inst.graph, inst.structure, inst.group, inst.snf, inst.profile
     if args.json:
         _emit_json(
             {
@@ -114,7 +101,7 @@ def cmd_critgroup(args) -> int:
                 "snf_diagonal": list(snf.diag),
                 "dk": list(prof.dk),
                 "dk_star": list(prof.dk_star),
-                "matrix": jsonio.matrix_to_obj(mat),
+                "matrix": jsonio.matrix_to_obj(inst.matrix),
             }
         )
         return 0
@@ -130,23 +117,24 @@ def cmd_critgroup(args) -> int:
 
 
 def cmd_apply_op(args) -> int:
-    g, s = _load_pair(args)
+    inst = _load_instance(args)
+    g, s = inst.graph, inst.structure
     v = _vertex_index(args, g.n)
     if g.n < 2:
         raise _UsageError("the reduction needs at least two vertices")
-    before = critical_group(g, s)
-    result = star_clique_reduction(g, s, v)
-    after = critical_group(result.graph, result.structure)
+    record = inst.vertex(v)
+    before, after, result = inst.group, record.after, record.reduction
     graph_path = Path(f"{args.out}.graph.json")
     structure_path = Path(f"{args.out}.structure.json")
-    jsonio.save_graph(graph_path, result.graph)
-    jsonio.save_structure(structure_path, result.structure)
+    try:
+        jsonio.save_graph(graph_path, result.graph)
+        jsonio.save_structure(structure_path, result.structure)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
     bound = None
     if g.n >= 3:
-        g_val = row_gcd(structure_matrix(g, s, last_vertex=v), g.n - 1)
-        lower = s.d[v] ** (g.n - 3) * before.order
-        upper = g_val * g_val * lower
+        lower, upper = record.lower, record.upper
         if after.order == lower:
             attained = "lower"
         elif after.order == upper:
@@ -222,7 +210,8 @@ def _print_reports(reports, heading: str, json_bucket) -> None:
 
 
 def cmd_verify(args) -> int:
-    g, s = _load_pair(args)
+    inst = _load_instance(args)
+    g, s = inst.graph, inst.structure
     if args.all_vertices:
         vertices = list(range(g.n))
     else:
@@ -230,7 +219,7 @@ def cmd_verify(args) -> int:
     json_bucket = [] if args.json else None
     all_reports = []
 
-    mat = structure_matrix(g, s)
+    mat = inst.matrix
     matrix_reports = list(verify_minor_properties(mat))
     matrix_reports.append(check_conjecture_minors(mat))
     all_reports.extend(matrix_reports)
@@ -313,7 +302,10 @@ def cmd_fuzz(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    summary = fuzz_campaign(cfg, archive_dir=args.archive_dir)
+    try:
+        summary = fuzz_campaign(cfg, archive_dir=args.archive_dir)
+    except OSError as exc:  # only witness files are written
+        raise _UsageError(f"cannot write {exc.filename}: {exc.strerror}") from None
     proven_failures = summary.proven_failure_count
     if args.json:
         _emit_json(
@@ -417,9 +409,6 @@ def main(argv=None) -> int:
         return 4
     except FileFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"parse error: cannot read {exc.filename}", file=sys.stderr)
         return 2
     except (GraphError, StructureError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
-from .linalg import IntegerMatrix, chio_condense, smith_normal_form
+from .linalg import IntegerMatrix, SnfResult, chio_condense, smith_normal_form
 
 
 class GraphError(ValueError):
@@ -170,6 +170,21 @@ class CriticalGroup:
     invariant_factors: tuple[int, ...]
     order: int
 
+    @classmethod
+    def from_snf(cls, snf: SnfResult, n: int) -> CriticalGroup:
+        """The group of a structure matrix on n vertices from its Smith normal form.
+
+        Such a matrix always has rank n - 1, so the group is the product of
+        Z/a over the first n - 1 invariant factors.
+        """
+        if snf.rank != n - 1:
+            raise ArithmeticError(
+                f"a structure matrix on {n} vertices has Smith rank {snf.rank}, "
+                f"expected {n - 1}; this contradicts the structure equations"
+            )
+        factors = snf.diag[: n - 1]
+        return cls(factors, prod(factors))
+
     def describe(self) -> str:
         nontrivial = [f for f in self.invariant_factors if f != 1]
         if not nontrivial:
@@ -189,6 +204,10 @@ class ReductionResult:
     structure: ArithmeticalStructure
     vertex: int
     r_divisor: int
+
+    def matrix(self) -> IntegerMatrix:
+        """L' = diag(d') - A' of the output, which the reduction has already checked."""
+        return _matrix(self.graph, self.structure, range(self.graph.n))
 
 
 def validate_structure(g: Multigraph, d, r) -> StructureViolation | None:
@@ -221,6 +240,23 @@ def validate_structure(g: Multigraph, d, r) -> StructureViolation | None:
     return None
 
 
+_last_valid: tuple = ()  # the last (graph, structure) pair that passed validation
+
+
+def _ensure_valid(g: Multigraph, s: ArithmeticalStructure) -> None:
+    """Raise StructureError unless s is an arithmetical structure on g.
+
+    The last pair that passed is remembered, so a pair that goes through
+    several of the functions below is validated once.
+    """
+    global _last_valid
+    if _last_valid != (g, s):
+        violation = validate_structure(g, s.d, s.r)
+        if violation is not None:
+            raise StructureError(violation.message)
+        _last_valid = (g, s)
+
+
 def laplacian_structure(g: Multigraph) -> ArithmeticalStructure:
     """The Laplacian structure: d = vertex degrees, r = all ones."""
     return ArithmeticalStructure(
@@ -236,14 +272,16 @@ def structure_matrix(g: Multigraph, s: ArithmeticalStructure, last_vertex: int |
     order; this is the labeling under which the corner minors D_k* refer
     to v.
     """
-    violation = validate_structure(g, s.d, s.r)
-    if violation is not None:
-        raise StructureError(violation.message)
+    _ensure_valid(g, s)
     order = list(range(g.n))
     if last_vertex is not None:
         if not 0 <= last_vertex < g.n:
             raise IndexError(f"vertex {last_vertex} out of range")
         order = [i for i in order if i != last_vertex] + [last_vertex]
+    return _matrix(g, s, order)
+
+
+def _matrix(g: Multigraph, s: ArithmeticalStructure, order) -> IntegerMatrix:
     return IntegerMatrix(
         tuple(tuple(s.d[i] if i == j else -g.mult[i][j] for j in order) for i in order)
     )
@@ -252,21 +290,9 @@ def structure_matrix(g: Multigraph, s: ArithmeticalStructure, last_vertex: int |
 def critical_group(g: Multigraph, s: ArithmeticalStructure) -> CriticalGroup:
     """Critical group from the Smith normal form of L = diag(d) - A.
 
-    L always has rank n - 1, so the group is the product of Z/a for the
-    first n - 1 invariant factors; its order is the gcd of the (n-1) x
-    (n-1) minors of L.
+    Its order is the gcd of the (n-1) x (n-1) minors of L.
     """
-    snf = smith_normal_form(structure_matrix(g, s))
-    if snf.rank != g.n - 1:
-        raise ArithmeticError(
-            f"L has Smith rank {snf.rank}, expected {g.n - 1}; "
-            "this contradicts the structure equations"
-        )
-    factors = snf.diag[: g.n - 1]
-    order = 1
-    for f in factors:
-        order *= f
-    return CriticalGroup(factors, order)
+    return CriticalGroup.from_snf(smith_normal_form(structure_matrix(g, s)), g.n)
 
 
 def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
@@ -287,9 +313,7 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
         raise GraphError("reduction needs at least two vertices")
     if not 0 <= v < n:
         raise IndexError(f"vertex {v} out of range 0..{n - 1}")
-    violation = validate_structure(g, s.d, s.r)
-    if violation is not None:
-        raise StructureError(violation.message)
+    _ensure_valid(g, s)
     mult = g.mult
     dv = s.d[v]
     others = [i for i in range(n) if i != v]
@@ -327,7 +351,6 @@ def operation_matrix_consistency(g: Multigraph, s: ArithmeticalStructure, v: int
     one through 2 x 2 corner minors of L with v moved last); a mismatch
     would mean an implementation bug, never bad input.
     """
-    reduced = star_clique_reduction(g, s, v)
-    lhs = structure_matrix(reduced.graph, reduced.structure)
+    lhs = star_clique_reduction(g, s, v).matrix()
     rhs = chio_condense(structure_matrix(g, s, last_vertex=v))
     return lhs == rhs

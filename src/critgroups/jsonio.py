@@ -22,7 +22,7 @@ _DECIMAL = re.compile(r"-?[0-9]+$")
 
 
 class FileFormatError(ValueError):
-    """The file parsed as JSON but does not match the expected schema."""
+    """The file cannot be read, is not JSON, or does not match the expected schema."""
 
 
 def encode_int(x: int):
@@ -142,7 +142,10 @@ def matrix_from_obj(obj) -> IntegerMatrix:
 
 
 def _load_json(path) -> object:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

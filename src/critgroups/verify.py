@@ -19,26 +19,35 @@ Divisibility is taken with the usual zero conventions: every integer
 divides 0, and 0 divides only 0.  Reports whose comparisons involved a
 zero divisor value are flagged ``degenerate`` so they can be filtered
 when studying the generic case.
+
+The properties form one table of (id, applicability, comparisons) rows,
+evaluated by :meth:`_Property.report`.  Their inputs are computed once:
+a (graph, structure) pair becomes one validated :class:`_Instance` that
+holds L, SNF(L) and, per vertex, the reduction and everything derived
+from it; the last instance and the last minor-GCD profile are kept, so
+consecutive checks of the same pair or matrix share them.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from math import gcd
 
 from .enumeration import EnumerationQuery, enumerate_structures
 from .graphs import (
     ArithmeticalStructure,
+    CriticalGroup,
     Multigraph,
-    StructureError,
     star_clique_reduction,
     structure_matrix,
-    validate_structure,
 )
 from .linalg import (
     IntegerMatrix,
+    MinorGcdProfile,
     chio_condense,
     desnanot_jacobi_residual,
     determinant,
@@ -92,38 +101,6 @@ class PropertyId(str, Enum):
 
 PROVEN_IDS = frozenset(p for p in PropertyId if not p.value.startswith("CONJ_"))
 
-_MATRIX_ORDER = [
-    PropertyId.MINORFACTS_A,
-    PropertyId.MINORFACTS_B,
-    PropertyId.MINORFACTS_C,
-    PropertyId.MINORFACTS_D,
-    PropertyId.MINORFACTS_E,
-    PropertyId.DKSTAR_CHAIN,
-    PropertyId.GN_BOUND,
-    PropertyId.D1D2STAR,
-    PropertyId.CHIO,
-    PropertyId.DESNANOT,
-]
-
-_OPERATION_ORDER = [
-    PropertyId.THM_DKL_A,
-    PropertyId.THM_DKL_B,
-    PropertyId.THM_DKL_C,
-    PropertyId.THM_DKL_D,
-    PropertyId.COR_ORDER_A,
-    PropertyId.COR_ORDER_B,
-    PropertyId.COR_ORDER_C,
-    PropertyId.PROP_ALPHA1_A,
-    PropertyId.PROP_ALPHA1_B,
-    PropertyId.PROP_ALPHA1_C,
-    PropertyId.PROP_ALPHA1_D,
-    PropertyId.PROP_ALPHA1_E,
-    PropertyId.THM_ALPHAK_A,
-    PropertyId.THM_ALPHAK_B,
-    PropertyId.THM_ALPHAK_C,
-    PropertyId.COR_GCD1,
-]
-
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -151,46 +128,344 @@ def divides(a: int, b: int) -> bool:
     return b % a == 0
 
 
-def _matrix_payload(m: IntegerMatrix) -> list[list[int]]:
-    return [list(row) for row in m.entries]
+# ---------------------------------------------------------------------------
+# shared inputs
+
+_last_profile: tuple[IntegerMatrix, MinorGcdProfile] | None = None
+_last_instance: _Instance | None = None
 
 
-def _instance_payload(g: Multigraph, s: ArithmeticalStructure, v: int) -> dict:
-    return {
-        "graph_mult": [list(row) for row in g.mult],
-        "d": list(s.d),
-        "r": list(s.r),
-        "vertex": v,
-    }
+def _profile(m: IntegerMatrix) -> MinorGcdProfile:
+    """``minor_gcd_profile(m)``, reused when the previous call had an equal matrix."""
+    global _last_profile
+    if _last_profile is None or _last_profile[0] != m:
+        _last_profile = (m, minor_gcd_profile(m))
+    return _last_profile[1]
 
 
-class _Checker:
-    """Accumulates per-k comparisons for one property on one input."""
+def instance_of(g: Multigraph, s: ArithmeticalStructure) -> _Instance:
+    """The validated instance of (g, s), reused when the previous call had an equal pair.
 
-    def __init__(self, pid: PropertyId, payload: dict):
-        self.pid = pid
-        self.payload = payload
-        self.failure: dict | None = None
-        self.degenerate = False
-
-    def check(self, ok: bool, **details) -> None:
-        if not ok and self.failure is None:
-            self.failure = {**self.payload, "property_id": self.pid.value, **details}
-
-    def check_divides(self, a: int, b: int, **details) -> None:
-        """Record a | b; a zero on either side marks the report degenerate."""
-        if a == 0 or b == 0:
-            self.degenerate = True
-        self.check(divides(a, b), **details)
-
-    def report(self) -> PropertyReport:
-        if self.failure is not None:
-            return PropertyReport(self.pid, FAIL, self.failure, self.degenerate)
-        return PropertyReport(self.pid, PASS, None, self.degenerate)
+    Raises StructureError when s is not a structure on g.
+    """
+    global _last_instance
+    if _last_instance is None or (_last_instance.graph, _last_instance.structure) != (g, s):
+        _last_instance = _Instance(g, s)
+    return _last_instance
 
 
-def _na(pid: PropertyId) -> PropertyReport:
-    return PropertyReport(pid, NOT_APPLICABLE)
+class _Instance:
+    """A (graph, structure) pair, validated once, and the invariants of its matrix L.
+
+    Building it validates the pair (``structure_matrix`` does).  SNF(L)
+    serves every vertex: moving v last permutes rows and columns alike,
+    which leaves the Smith form unchanged.
+    """
+
+    def __init__(self, g: Multigraph, s: ArithmeticalStructure) -> None:
+        self.graph = g
+        self.structure = s
+        self.matrix = structure_matrix(g, s)
+        self.snf = smith_normal_form(self.matrix)
+        self.group = CriticalGroup.from_snf(self.snf, g.n)
+        self._vertices: dict[int, _Vertex] = {}
+
+    @property
+    def profile(self) -> MinorGcdProfile:
+        return _profile(self.matrix)
+
+    def vertex(self, v: int) -> _Vertex:
+        """The record of the reduction at v (0-based), built on first use."""
+        if v not in self._vertices:
+            self._vertices[v] = _Vertex(self, v)
+        return self._vertices[v]
+
+
+class _Vertex:
+    """What the operation family compares at one vertex v of an instance.
+
+    ``matrix`` is L with v last, ``m`` = d[v] and ``g`` the gcd of its last
+    row; ``alpha``/``alpha_p`` are the invariant factors of L and of L'
+    (a_k = alpha[k-1]) and ``order``/``order_p`` the group orders.  The
+    D_k values come from minor scans, on first use.
+    """
+
+    def __init__(self, inst: _Instance, v: int) -> None:
+        g, s = inst.graph, inst.structure
+        self.graph, self.structure, self.v = g, s, v
+        self.n = g.n
+        self.matrix = structure_matrix(g, s, last_vertex=v)
+        self.m = s.d[v]
+        self.g = row_gcd(self.matrix, self.n - 1)
+        self.gg = self.g * self.g
+        self.alpha, self.order = inst.group.invariant_factors, inst.group.order
+        self.reduction = star_clique_reduction(g, s, v)
+        self.reduced_matrix = self.reduction.matrix()
+        self.after = CriticalGroup.from_snf(smith_normal_form(self.reduced_matrix), self.n - 1)
+        self.alpha_p, self.order_p = self.after.invariant_factors, self.after.order
+
+    @property
+    def payload(self) -> dict:
+        """The input part of a witness, built afresh for each failing report."""
+        s = self.structure
+        return {"graph_mult": [list(row) for row in self.graph.mult], "d": list(s.d),
+                "r": list(s.r), "vertex": self.v}
+
+    @cached_property
+    def lower(self) -> int:
+        """m^(n-3) |K|, the COR_ORDER lower bound on |K'| (n >= 3)."""
+        return self.m ** (self.n - 3) * self.order
+
+    @cached_property
+    def upper(self) -> int:
+        """g^2 m^(n-3) |K|, the COR_ORDER upper bound on |K'|."""
+        return self.gg * self.lower
+
+    @cached_property
+    def profile(self) -> MinorGcdProfile:
+        return _profile(self.matrix)
+
+    @cached_property
+    def dkp(self) -> tuple[int, ...]:
+        """D_k(L'), k = 0..n-1."""
+        return minor_gcd_sequence(self.reduced_matrix)
+
+
+class _MatrixFacts:
+    """What the matrix family compares on one matrix."""
+
+    def __init__(self, m: IntegerMatrix) -> None:
+        self.m = m
+        self.size = min(m.rows, m.cols)
+        self.profile = _profile(m)
+        self.dk, self.dks = self.profile.dk, self.profile.dk_star
+
+    @property
+    def payload(self) -> dict:
+        return {"matrix": [list(row) for row in self.m.entries]}
+
+    @cached_property
+    def det(self) -> int:
+        return determinant(self.m)
+
+
+# ---------------------------------------------------------------------------
+# the property table
+
+
+def _divides(a: int, b: int, **details) -> tuple[bool, bool, dict]:
+    """The comparison a | b; a zero on either side marks the report degenerate."""
+    return divides(a, b), a == 0 or b == 0, details
+
+
+def _holds(ok: bool, **details) -> tuple[bool, bool, dict]:
+    return ok, False, details
+
+
+@dataclass(frozen=True)
+class _Property:
+    """One table row: when the property applies, and the comparisons it makes.
+
+    ``comparisons(x)`` yields (ok, degenerate, details) in a fixed order.
+    The report fails on the first comparison that is not ok and carries
+    its details next to the input; every comparison counts toward
+    ``degenerate``.
+    """
+
+    pid: PropertyId
+    applies: Callable[[object], bool]
+    comparisons: Callable[[object], Iterable[tuple[bool, bool, dict]]]
+
+    def report(self, x) -> PropertyReport:
+        if not self.applies(x):
+            return PropertyReport(self.pid, NOT_APPLICABLE)
+        failure = None
+        degenerate = False
+        for ok, zero, details in self.comparisons(x):
+            degenerate = degenerate or zero
+            if not ok and failure is None:
+                failure = {**x.payload, "property_id": self.pid.value, **details}
+        return PropertyReport(self.pid, PASS if failure is None else FAIL, failure, degenerate)
+
+
+def _always(x) -> bool:
+    return True
+
+
+def _deletion_comparisons(x: _MatrixFacts):
+    """MINORFACTS_B on the submatrices without the first row and without the first column."""
+    m = x.m
+    subs = []
+    if m.rows >= 2:
+        subs.append(m.submatrix(range(1, m.rows), range(m.cols)))
+    if m.cols >= 2:
+        subs.append(m.submatrix(range(m.rows), range(1, m.cols)))
+    for which, sub in enumerate(subs):
+        sub_dk = minor_gcd_sequence(sub)
+        for k in range(1, min(sub.rows, sub.cols) + 1):
+            yield _divides(x.dk[k], sub_dk[k], submatrix=which, k=k, dk=x.dk[k], sub_dk=sub_dk[k])
+
+
+def _corner_comparisons(x: _MatrixFacts):
+    """MINORFACTS_C on the submatrix without the first row and column."""
+    sub = x.m.submatrix(range(1, x.m.rows), range(1, x.m.cols))
+    for k, sub_star in enumerate(minor_gcd_corner_sequence(sub), start=1):
+        yield _divides(x.dks[k - 1], sub_star, k=k, dk_star=x.dks[k - 1], sub_dk_star=sub_star)
+
+
+def _gn_comparisons(x: _MatrixFacts):
+    col_g = x.profile.col_gcds[-1]
+    row_g = x.profile.row_gcds[-1]
+    for k in range(2, x.size + 1):
+        yield _divides(
+            x.dks[k - 1],
+            col_g * row_g * x.dk[k],
+            k=k,
+            dk_star=x.dks[k - 1],
+            last_col_gcd=col_g,
+            last_row_gcd=row_g,
+            dk=x.dk[k],
+        )
+
+
+def _chio_comparisons(x: _MatrixFacts):
+    n = x.m.rows
+    det_cond = determinant(chio_condense(x.m))
+    expected = x.m.entries[n - 1][n - 1] ** (n - 2) * x.det
+    yield _holds(det_cond == expected, det_condensed=det_cond, expected=expected)
+
+
+def _desnanot_comparisons(x: _MatrixFacts):
+    """Every 2 x 2 choice of rows and columns up to n = 3, three fixed ones above."""
+    n = x.m.rows
+    if n <= 3:
+        pairs = [
+            (i1, i2, j1, j2)
+            for i1 in range(n)
+            for i2 in range(i1 + 1, n)
+            for j1 in range(n)
+            for j2 in range(j1 + 1, n)
+        ]
+    else:
+        pairs = [(0, 1, 0, 1), (n - 2, n - 1, n - 2, n - 1), (0, n - 1, 0, n - 1)]
+    for i1, i2, j1, j2 in pairs:
+        res = desnanot_jacobi_residual(x.m, i1, i2, j1, j2)
+        yield _holds(res == 0, rows=[i1, i2], cols=[j1, j2], residual=res)
+
+
+def _square(x: _MatrixFacts) -> bool:
+    return x.m.is_square and x.m.rows >= 2
+
+
+_MATRIX_PROPERTIES = (
+    _Property(PropertyId.MINORFACTS_A, _always, lambda x: (
+        _divides(x.dk[k], x.dks[k - 1], k=k, dk=x.dk[k], dk_star=x.dks[k - 1])
+        for k in range(1, x.size + 1))),
+    _Property(PropertyId.MINORFACTS_B, lambda x: x.m.rows >= 2 or x.m.cols >= 2,
+              _deletion_comparisons),
+    _Property(PropertyId.MINORFACTS_C, lambda x: x.m.rows >= 2 and x.m.cols >= 2,
+              _corner_comparisons),
+    _Property(PropertyId.MINORFACTS_D, lambda x: x.m.is_square, lambda x: (_holds(
+        x.dk[x.size] == x.dks[x.size - 1] == abs(x.det),
+        dn=x.dk[x.size], dn_star=x.dks[x.size - 1], abs_det=abs(x.det)),)),
+    _Property(PropertyId.MINORFACTS_E, _always, lambda x: (
+        _divides(x.dk[k], x.dk[k + 1], k=k, dk=x.dk[k], dk_next=x.dk[k + 1])
+        for k in range(x.size))),
+    _Property(PropertyId.DKSTAR_CHAIN, lambda x: x.size >= 3, lambda x: (
+        _divides(x.dks[k - 1], x.dks[k], k=k, dk_star=x.dks[k - 1], dk_star_next=x.dks[k])
+        for k in range(2, x.size))),
+    _Property(PropertyId.GN_BOUND, lambda x: x.size >= 2, _gn_comparisons),
+    _Property(PropertyId.D1D2STAR, lambda x: x.size >= 2, lambda x: (_divides(
+        x.dk[1] * x.dks[1], x.dks[0] * x.dk[2],
+        d1=x.dk[1], d2_star=x.dks[1], d1_star=x.dks[0], d2=x.dk[2]),)),
+    _Property(PropertyId.CHIO, _square, _chio_comparisons),
+    _Property(PropertyId.DESNANOT, _square, _desnanot_comparisons),
+)
+
+_CONJ_MINORS = _Property(PropertyId.CONJ_MINORS, lambda x: x.size >= 2, lambda x: (
+    _divides(
+        x.dk[k] * x.dks[k],
+        x.dks[k - 1] * x.dk[k + 1],
+        k=k, dk=x.dk[k], dk1_star=x.dks[k], dk_star=x.dks[k - 1], dk1=x.dk[k + 1],
+    )
+    for k in range(1, x.size)))
+
+
+def _dkl_terms(x: _Vertex):
+    """(k, D_k(L'), m^(k-1), m^(k-1) D_{k+1}(L), g^2 m^(k-1) D_{k+1}(L)) for k = 1..n-2."""
+    for k in range(1, x.n - 1):
+        scale = x.m ** (k - 1)
+        lower = scale * x.profile.dk[k + 1]
+        yield k, x.dkp[k], scale, lower, x.gg * lower
+
+
+def _alpha_terms(x: _Vertex, first: int):
+    """(k, a'_k, m a_{k+1}) for k = first..n-2."""
+    for k in range(first, x.n - 1):
+        yield k, x.alpha_p[k - 1], x.m * x.alpha[k]
+
+
+def _alpha1_cap(x: _Vertex) -> int:
+    """gcd(g^2 a_1, m) a_2, the sharper PROP_ALPHA1 bound on a'_1."""
+    return gcd(x.gg * x.alpha[0], x.m) * x.alpha[1]
+
+
+_OPERATION_PROPERTIES = (
+    _Property(PropertyId.THM_DKL_A, _always, lambda x: (
+        _holds(lhs == scale * x.profile.dk_star[k],
+               k=k, dk_prime=lhs, m_power=scale, dk1_star=x.profile.dk_star[k])
+        for k, lhs, scale, _, _ in _dkl_terms(x))),
+    _Property(PropertyId.THM_DKL_B, _always, lambda x: (
+        _divides(lower, lhs, k=k, bound=lower, dk_prime=lhs)
+        for k, lhs, _, lower, _ in _dkl_terms(x))),
+    _Property(PropertyId.THM_DKL_C, _always, lambda x: (
+        _divides(lhs, upper, k=k, dk_prime=lhs, bound=upper)
+        for k, lhs, _, _, upper in _dkl_terms(x))),
+    _Property(PropertyId.THM_DKL_D, _always, lambda x: (
+        _holds(lower <= lhs <= upper, k=k, lower=lower, dk_prime=lhs, upper=upper)
+        for k, lhs, _, lower, upper in _dkl_terms(x))),
+    _Property(PropertyId.COR_ORDER_A, _always, lambda x: (
+        _divides(x.lower, x.order_p, lower=x.lower, order_prime=x.order_p),)),
+    _Property(PropertyId.COR_ORDER_B, _always, lambda x: (
+        _divides(x.order_p, x.upper, order_prime=x.order_p, upper=x.upper),)),
+    _Property(PropertyId.COR_ORDER_C, _always, lambda x: (_holds(
+        x.lower <= x.order_p <= x.upper, lower=x.lower, order_prime=x.order_p, upper=x.upper),)),
+    _Property(PropertyId.PROP_ALPHA1_A, _always, lambda x: (_divides(
+        x.alpha_p[0], x.gg * x.alpha[0] * x.alpha[1],
+        alpha1_prime=x.alpha_p[0], bound=x.gg * x.alpha[0] * x.alpha[1]),)),
+    _Property(PropertyId.PROP_ALPHA1_B, _always, lambda x: (_divides(
+        x.alpha_p[0], x.m * x.alpha[1], alpha1_prime=x.alpha_p[0], bound=x.m * x.alpha[1]),)),
+    _Property(PropertyId.PROP_ALPHA1_C, _always, lambda x: (_divides(
+        x.alpha_p[0], _alpha1_cap(x), alpha1_prime=x.alpha_p[0], bound=_alpha1_cap(x)),)),
+    _Property(PropertyId.PROP_ALPHA1_D, _always, lambda x: (_divides(
+        x.alpha[0] * x.alpha[1], x.alpha_p[0],
+        product=x.alpha[0] * x.alpha[1], alpha1_prime=x.alpha_p[0]),)),
+    _Property(PropertyId.PROP_ALPHA1_E, _always, lambda x: (_holds(
+        x.alpha[0] * x.alpha[1] <= x.alpha_p[0] <= _alpha1_cap(x),
+        lower=x.alpha[0] * x.alpha[1], alpha1_prime=x.alpha_p[0], upper=_alpha1_cap(x)),)),
+    _Property(PropertyId.THM_ALPHAK_A, lambda x: x.n >= 4, lambda x: (
+        _divides(apk, x.gg * m_ak1, k=k, alpha_k_prime=apk, bound=x.gg * m_ak1)
+        for k, apk, m_ak1 in _alpha_terms(x, 2))),
+    _Property(PropertyId.THM_ALPHAK_B, lambda x: x.n >= 4, lambda x: (
+        _divides(m_ak1, x.gg * apk, k=k, m_alpha=m_ak1, scaled=x.gg * apk)
+        for k, apk, m_ak1 in _alpha_terms(x, 2))),
+    _Property(PropertyId.THM_ALPHAK_C, lambda x: x.n >= 4, lambda x: (
+        _holds(m_ak1 <= x.gg * apk and apk <= x.gg * m_ak1,
+               k=k, alpha_k_prime=apk, m_alpha=m_ak1, g_squared=x.gg)
+        for k, apk, m_ak1 in _alpha_terms(x, 2))),
+    _Property(PropertyId.COR_GCD1, lambda x: x.g == 1, lambda x: (
+        _holds(x.alpha_p[0] == x.alpha[1], k=1, alpha1_prime=x.alpha_p[0], alpha2=x.alpha[1]),
+        *(_holds(apk == m_ak1, k=k, alpha_k_prime=apk, m_alpha=m_ak1)
+          for k, apk, m_ak1 in _alpha_terms(x, 2)))),
+)
+
+_CONJ_ALPHA = _Property(PropertyId.CONJ_ALPHA, _always, lambda x: (
+    _divides(apk, m_ak1, k=k, alpha_k_prime=apk, m_alpha=m_ak1)
+    for k, apk, m_ak1 in _alpha_terms(x, 1)))
+
+
+# ---------------------------------------------------------------------------
+# checks
 
 
 def verify_minor_properties(m: IntegerMatrix) -> list[PropertyReport]:
@@ -202,188 +477,23 @@ def verify_minor_properties(m: IntegerMatrix) -> list[PropertyReport]:
     keeps the check linear in the profile cost while still exercising the
     interesting direction (the deleted line is never the corner line).
     """
-    prof = minor_gcd_profile(m)
-    dk = prof.dk
-    dks = prof.dk_star
-    size = min(m.rows, m.cols)
-    payload = {"matrix": _matrix_payload(m)}
-    reports: dict[PropertyId, PropertyReport] = {}
-
-    chk = _Checker(PropertyId.MINORFACTS_A, payload)
-    for k in range(1, size + 1):
-        chk.check_divides(dk[k], dks[k - 1], k=k, dk=dk[k], dk_star=dks[k - 1])
-    reports[PropertyId.MINORFACTS_A] = chk.report()
-
-    subs = []
-    if m.rows >= 2:
-        subs.append(m.submatrix(range(1, m.rows), range(m.cols)))
-    if m.cols >= 2:
-        subs.append(m.submatrix(range(m.rows), range(1, m.cols)))
-    if subs:
-        chk = _Checker(PropertyId.MINORFACTS_B, payload)
-        for which, sub in enumerate(subs):
-            sub_dk = minor_gcd_sequence(sub)
-            for k in range(1, min(sub.rows, sub.cols) + 1):
-                chk.check_divides(
-                    dk[k], sub_dk[k], submatrix=which, k=k, dk=dk[k], sub_dk=sub_dk[k]
-                )
-        reports[PropertyId.MINORFACTS_B] = chk.report()
-    else:
-        reports[PropertyId.MINORFACTS_B] = _na(PropertyId.MINORFACTS_B)
-
-    if m.rows >= 2 and m.cols >= 2:
-        sub = m.submatrix(range(1, m.rows), range(1, m.cols))
-        chk = _Checker(PropertyId.MINORFACTS_C, payload)
-        for k, sub_star in enumerate(minor_gcd_corner_sequence(sub), start=1):
-            chk.check_divides(dks[k - 1], sub_star, k=k, dk_star=dks[k - 1], sub_dk_star=sub_star)
-        reports[PropertyId.MINORFACTS_C] = chk.report()
-    else:
-        reports[PropertyId.MINORFACTS_C] = _na(PropertyId.MINORFACTS_C)
-
-    if m.is_square:
-        chk = _Checker(PropertyId.MINORFACTS_D, payload)
-        det = abs(determinant(m))
-        chk.check(
-            dk[size] == dks[size - 1] == det, dn=dk[size], dn_star=dks[size - 1], abs_det=det
-        )
-        reports[PropertyId.MINORFACTS_D] = chk.report()
-    else:
-        reports[PropertyId.MINORFACTS_D] = _na(PropertyId.MINORFACTS_D)
-
-    chk = _Checker(PropertyId.MINORFACTS_E, payload)
-    for k in range(size):
-        chk.check_divides(dk[k], dk[k + 1], k=k, dk=dk[k], dk_next=dk[k + 1])
-    reports[PropertyId.MINORFACTS_E] = chk.report()
-
-    if size >= 3:
-        chk = _Checker(PropertyId.DKSTAR_CHAIN, payload)
-        for k in range(2, size):
-            chk.check_divides(dks[k - 1], dks[k], k=k, dk_star=dks[k - 1], dk_star_next=dks[k])
-        reports[PropertyId.DKSTAR_CHAIN] = chk.report()
-    else:
-        reports[PropertyId.DKSTAR_CHAIN] = _na(PropertyId.DKSTAR_CHAIN)
-
-    if size >= 2:
-        col_g = prof.col_gcds[-1]
-        row_g = prof.row_gcds[-1]
-        chk = _Checker(PropertyId.GN_BOUND, payload)
-        for k in range(2, size + 1):
-            chk.check_divides(
-                dks[k - 1],
-                col_g * row_g * dk[k],
-                k=k,
-                dk_star=dks[k - 1],
-                last_col_gcd=col_g,
-                last_row_gcd=row_g,
-                dk=dk[k],
-            )
-        reports[PropertyId.GN_BOUND] = chk.report()
-
-        chk = _Checker(PropertyId.D1D2STAR, payload)
-        chk.check_divides(
-            dk[1] * dks[1],
-            dks[0] * dk[2],
-            d1=dk[1],
-            d2_star=dks[1],
-            d1_star=dks[0],
-            d2=dk[2],
-        )
-        reports[PropertyId.D1D2STAR] = chk.report()
-    else:
-        reports[PropertyId.GN_BOUND] = _na(PropertyId.GN_BOUND)
-        reports[PropertyId.D1D2STAR] = _na(PropertyId.D1D2STAR)
-
-    if m.is_square and m.rows >= 2:
-        n = m.rows
-        chk = _Checker(PropertyId.CHIO, payload)
-        det = determinant(m)
-        det_cond = determinant(chio_condense(m))
-        expected = m.entries[n - 1][n - 1] ** (n - 2) * det
-        chk.check(det_cond == expected, det_condensed=det_cond, expected=expected)
-        reports[PropertyId.CHIO] = chk.report()
-
-        chk = _Checker(PropertyId.DESNANOT, payload)
-        if n <= 3:
-            pairs = [
-                (i1, i2, j1, j2)
-                for i1 in range(n)
-                for i2 in range(i1 + 1, n)
-                for j1 in range(n)
-                for j2 in range(j1 + 1, n)
-            ]
-        else:
-            pairs = [(0, 1, 0, 1), (n - 2, n - 1, n - 2, n - 1), (0, n - 1, 0, n - 1)]
-        for i1, i2, j1, j2 in pairs:
-            res = desnanot_jacobi_residual(m, i1, i2, j1, j2)
-            chk.check(res == 0, rows=[i1, i2], cols=[j1, j2], residual=res)
-        reports[PropertyId.DESNANOT] = chk.report()
-    else:
-        reports[PropertyId.CHIO] = _na(PropertyId.CHIO)
-        reports[PropertyId.DESNANOT] = _na(PropertyId.DESNANOT)
-
-    return [reports[pid] for pid in _MATRIX_ORDER]
+    facts = _MatrixFacts(m)
+    return [prop.report(facts) for prop in _MATRIX_PROPERTIES]
 
 
-def _require_valid(g: Multigraph, s: ArithmeticalStructure) -> None:
-    violation = validate_structure(g, s.d, s.r)
-    if violation is not None:
-        raise StructureError(violation.message)
+def check_conjecture_minors(m: IntegerMatrix) -> PropertyReport:
+    """Open statement: D_k D_{k+1}* | D_k* D_{k+1} for every k = 1..min-1."""
+    return _CONJ_MINORS.report(_MatrixFacts(m))
 
 
-@dataclass(frozen=True)
-class _OperationData:
-    """Everything the operation checks compare, computed once."""
-
-    n: int
-    m_val: int  # d[v]
-    g_val: int  # gcd of the last row of L (v last)
-    dk: tuple[int, ...]  # D_k(L)
-    dk_star: tuple[int, ...]  # D_k*(L), v last
-    dk_prime: tuple[int, ...]  # D_k(L')
-    alpha: tuple[int, ...]  # invariant factors of L (length n-1)
-    alpha_prime: tuple[int, ...]  # invariant factors of L' (length n-2)
-    order: int  # |K| = product of alpha
-    order_prime: int  # |K'|
-
-
-def _operation_data(
-    g: Multigraph, s: ArithmeticalStructure, v: int, with_profiles: bool = True
-) -> _OperationData:
-    n = g.n
-    lp = structure_matrix(g, s, last_vertex=v)
-    snf = smith_normal_form(lp)
-    if snf.rank != n - 1:
-        raise ArithmeticError(f"L has Smith rank {snf.rank}, expected {n - 1}")
-    reduced = star_clique_reduction(g, s, v)
-    l2 = structure_matrix(reduced.graph, reduced.structure)
-    snf2 = smith_normal_form(l2)
-    if snf2.rank != n - 2:
-        raise ArithmeticError(f"L' has Smith rank {snf2.rank}, expected {n - 2}")
-    if with_profiles:
-        prof = minor_gcd_profile(lp)
-        dk, dk_star, dk_prime = prof.dk, prof.dk_star, minor_gcd_sequence(l2)
-    else:
-        dk = dk_star = dk_prime = ()
-    alpha = snf.diag[: n - 1]
-    alpha_prime = snf2.diag[: n - 2]
-    order = 1
-    for a in alpha:
-        order *= a
-    order_prime = 1
-    for a in alpha_prime:
-        order_prime *= a
-    return _OperationData(
-        n=n,
-        m_val=s.d[v],
-        g_val=row_gcd(lp, n - 1),
-        dk=dk,
-        dk_star=dk_star,
-        dk_prime=dk_prime,
-        alpha=alpha,
-        alpha_prime=alpha_prime,
-        order=order,
-        order_prime=order_prime,
-    )
+def _operation_reports(g, s, v: int, properties) -> list[PropertyReport]:
+    inst = instance_of(g, s)
+    if not 0 <= v < g.n:
+        raise IndexError(f"vertex {v} out of range 0..{g.n - 1}")
+    if g.n < 3:
+        return [PropertyReport(prop.pid, NOT_APPLICABLE) for prop in properties]
+    record = inst.vertex(v)
+    return [prop.report(record) for prop in properties]
 
 
 def verify_operation_theorems(g: Multigraph, s: ArithmeticalStructure, v: int) -> list[PropertyReport]:
@@ -395,157 +505,12 @@ def verify_operation_theorems(g: Multigraph, s: ArithmeticalStructure, v: int) -
     in witnesses use k as in the property comments: a_k is the k-th
     invariant factor of L, a'_k of L', both 1-based.
     """
-    _require_valid(g, s)
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range 0..{g.n - 1}")
-    if g.n < 3:
-        return [_na(pid) for pid in _OPERATION_ORDER]
-    data = _operation_data(g, s, v)
-    n, m_val, g_val = data.n, data.m_val, data.g_val
-    alpha, alpha2 = data.alpha, data.alpha_prime
-    payload = _instance_payload(g, s, v)
-    reports: dict[PropertyId, PropertyReport] = {}
-
-    chk_a = _Checker(PropertyId.THM_DKL_A, payload)
-    chk_b = _Checker(PropertyId.THM_DKL_B, payload)
-    chk_c = _Checker(PropertyId.THM_DKL_C, payload)
-    chk_d = _Checker(PropertyId.THM_DKL_D, payload)
-    for k in range(1, n - 1):
-        scale = m_val ** (k - 1)
-        lhs = data.dk_prime[k]
-        lower = scale * data.dk[k + 1]
-        upper = g_val * g_val * lower
-        chk_a.check(
-            lhs == scale * data.dk_star[k],
-            k=k,
-            dk_prime=lhs,
-            m_power=scale,
-            dk1_star=data.dk_star[k],
-        )
-        chk_b.check_divides(lower, lhs, k=k, bound=lower, dk_prime=lhs)
-        chk_c.check_divides(lhs, upper, k=k, dk_prime=lhs, bound=upper)
-        chk_d.check(lower <= lhs <= upper, k=k, lower=lower, dk_prime=lhs, upper=upper)
-    reports[PropertyId.THM_DKL_A] = chk_a.report()
-    reports[PropertyId.THM_DKL_B] = chk_b.report()
-    reports[PropertyId.THM_DKL_C] = chk_c.report()
-    reports[PropertyId.THM_DKL_D] = chk_d.report()
-
-    lower = m_val ** (n - 3) * data.order
-    upper = g_val * g_val * lower
-    chk = _Checker(PropertyId.COR_ORDER_A, payload)
-    chk.check_divides(lower, data.order_prime, lower=lower, order_prime=data.order_prime)
-    reports[PropertyId.COR_ORDER_A] = chk.report()
-    chk = _Checker(PropertyId.COR_ORDER_B, payload)
-    chk.check_divides(data.order_prime, upper, order_prime=data.order_prime, upper=upper)
-    reports[PropertyId.COR_ORDER_B] = chk.report()
-    chk = _Checker(PropertyId.COR_ORDER_C, payload)
-    chk.check(
-        lower <= data.order_prime <= upper,
-        lower=lower,
-        order_prime=data.order_prime,
-        upper=upper,
-    )
-    reports[PropertyId.COR_ORDER_C] = chk.report()
-
-    a1, a2 = alpha[0], alpha[1]
-    ap1 = alpha2[0]
-    gg = g_val * g_val
-    cap = gcd(gg * a1, m_val) * a2
-    chk = _Checker(PropertyId.PROP_ALPHA1_A, payload)
-    chk.check_divides(ap1, gg * a1 * a2, alpha1_prime=ap1, bound=gg * a1 * a2)
-    reports[PropertyId.PROP_ALPHA1_A] = chk.report()
-    chk = _Checker(PropertyId.PROP_ALPHA1_B, payload)
-    chk.check_divides(ap1, m_val * a2, alpha1_prime=ap1, bound=m_val * a2)
-    reports[PropertyId.PROP_ALPHA1_B] = chk.report()
-    chk = _Checker(PropertyId.PROP_ALPHA1_C, payload)
-    chk.check_divides(ap1, cap, alpha1_prime=ap1, bound=cap)
-    reports[PropertyId.PROP_ALPHA1_C] = chk.report()
-    chk = _Checker(PropertyId.PROP_ALPHA1_D, payload)
-    chk.check_divides(a1 * a2, ap1, product=a1 * a2, alpha1_prime=ap1)
-    reports[PropertyId.PROP_ALPHA1_D] = chk.report()
-    chk = _Checker(PropertyId.PROP_ALPHA1_E, payload)
-    chk.check(a1 * a2 <= ap1 <= cap, lower=a1 * a2, alpha1_prime=ap1, upper=cap)
-    reports[PropertyId.PROP_ALPHA1_E] = chk.report()
-
-    if n >= 4:
-        chk_a = _Checker(PropertyId.THM_ALPHAK_A, payload)
-        chk_b = _Checker(PropertyId.THM_ALPHAK_B, payload)
-        chk_c = _Checker(PropertyId.THM_ALPHAK_C, payload)
-        for k in range(2, n - 1):
-            apk = alpha2[k - 1]
-            ak1 = alpha[k]
-            chk_a.check_divides(apk, gg * m_val * ak1, k=k, alpha_k_prime=apk, bound=gg * m_val * ak1)
-            chk_b.check_divides(m_val * ak1, gg * apk, k=k, m_alpha=m_val * ak1, scaled=gg * apk)
-            chk_c.check(
-                m_val * ak1 <= gg * apk and apk <= gg * m_val * ak1,
-                k=k,
-                alpha_k_prime=apk,
-                m_alpha=m_val * ak1,
-                g_squared=gg,
-            )
-        reports[PropertyId.THM_ALPHAK_A] = chk_a.report()
-        reports[PropertyId.THM_ALPHAK_B] = chk_b.report()
-        reports[PropertyId.THM_ALPHAK_C] = chk_c.report()
-    else:
-        reports[PropertyId.THM_ALPHAK_A] = _na(PropertyId.THM_ALPHAK_A)
-        reports[PropertyId.THM_ALPHAK_B] = _na(PropertyId.THM_ALPHAK_B)
-        reports[PropertyId.THM_ALPHAK_C] = _na(PropertyId.THM_ALPHAK_C)
-
-    if g_val == 1:
-        chk = _Checker(PropertyId.COR_GCD1, payload)
-        chk.check(ap1 == a2, k=1, alpha1_prime=ap1, alpha2=a2)
-        for k in range(2, n - 1):
-            chk.check(
-                alpha2[k - 1] == m_val * alpha[k],
-                k=k,
-                alpha_k_prime=alpha2[k - 1],
-                m_alpha=m_val * alpha[k],
-            )
-        reports[PropertyId.COR_GCD1] = chk.report()
-    else:
-        reports[PropertyId.COR_GCD1] = _na(PropertyId.COR_GCD1)
-
-    return [reports[pid] for pid in _OPERATION_ORDER]
+    return _operation_reports(g, s, v, _OPERATION_PROPERTIES)
 
 
 def check_conjecture_alpha(g: Multigraph, s: ArithmeticalStructure, v: int) -> PropertyReport:
     """Open statement: a'_k | d[v] * a_{k+1} for every k = 1..n-2."""
-    _require_valid(g, s)
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range 0..{g.n - 1}")
-    if g.n < 3:
-        return _na(PropertyId.CONJ_ALPHA)
-    data = _operation_data(g, s, v, with_profiles=False)
-    chk = _Checker(PropertyId.CONJ_ALPHA, _instance_payload(g, s, v))
-    for k in range(1, g.n - 1):
-        chk.check_divides(
-            data.alpha_prime[k - 1],
-            data.m_val * data.alpha[k],
-            k=k,
-            alpha_k_prime=data.alpha_prime[k - 1],
-            m_alpha=data.m_val * data.alpha[k],
-        )
-    return chk.report()
-
-
-def check_conjecture_minors(m: IntegerMatrix) -> PropertyReport:
-    """Open statement: D_k D_{k+1}* | D_k* D_{k+1} for every k = 1..min-1."""
-    size = min(m.rows, m.cols)
-    if size < 2:
-        return _na(PropertyId.CONJ_MINORS)
-    prof = minor_gcd_profile(m)
-    chk = _Checker(PropertyId.CONJ_MINORS, {"matrix": _matrix_payload(m)})
-    for k in range(1, size):
-        chk.check_divides(
-            prof.dk[k] * prof.dk_star[k],
-            prof.dk_star[k - 1] * prof.dk[k + 1],
-            k=k,
-            dk=prof.dk[k],
-            dk1_star=prof.dk_star[k],
-            dk_star=prof.dk_star[k - 1],
-            dk1=prof.dk[k + 1],
-        )
-    return chk.report()
+    return _operation_reports(g, s, v, (_CONJ_ALPHA,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +756,7 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
             if cfg.target == "all":
                 # the structure matrices are a targeted input family for
                 # the minors statement as well
-                reports.append(check_conjecture_minors(structure_matrix(gph, s, last_vertex=v)))
+                reports.append(check_conjecture_minors(instance_of(gph, s).vertex(v).matrix))
         for report in reports:
             summary.tally(report)
             if report.failed:

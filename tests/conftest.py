@@ -1,11 +1,11 @@
-"""Shared builders for the two worked examples used across the test suite."""
+"""Shared builders for the two worked examples, and fresh package memos for every test."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from critgroups import ArithmeticalStructure, Multigraph
+from critgroups import ArithmeticalStructure, Multigraph, graphs, verify
 
 settings.register_profile(
     "deterministic",
@@ -50,3 +50,18 @@ def nonsimple_a(nonsimple) -> tuple[Multigraph, ArithmeticalStructure]:
 @pytest.fixture
 def nonsimple_b(nonsimple) -> tuple[Multigraph, ArithmeticalStructure]:
     return nonsimple, ArithmeticalStructure(NONSIMPLE_B_D, NONSIMPLE_B_R)
+
+
+def forget_memos() -> None:
+    """Drop the pair, instance and profile that the package keeps from its last call."""
+    graphs._last_valid = ()
+    verify._last_instance = None
+    verify._last_profile = None
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """No test sees a value that another test left memoized."""
+    forget_memos()
+    yield
+    forget_memos()

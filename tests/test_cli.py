@@ -112,6 +112,32 @@ def test_missing_file_exits_2(capsys):
     assert "parse error" in err
 
 
+def test_unreadable_input_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "critgroup", str(tmp_path), "--laplacian")
+    assert code == 2
+    assert err == f"parse error: cannot read {tmp_path}\n"
+
+
+def test_output_in_missing_directory_exits_4(capsys, tmp_path):
+    prefix = tmp_path / "missing-dir" / "x"
+    code, out, err = run_cli(
+        capsys, "apply-op", NONSIMPLE_GRAPH, NONSIMPLE_A, "--vertex", "4", "--out", str(prefix)
+    )
+    assert code == 4
+    assert out == ""
+    assert err == f"usage error: cannot write {prefix}.graph.json: No such file or directory\n"
+
+
+def test_output_onto_a_directory_exits_4(capsys, tmp_path):
+    prefix = tmp_path / "x"
+    (tmp_path / "x.graph.json").mkdir()
+    code, _, err = run_cli(
+        capsys, "apply-op", NONSIMPLE_GRAPH, NONSIMPLE_A, "--vertex", "4", "--out", str(prefix)
+    )
+    assert code == 4
+    assert err == f"usage error: cannot write {prefix}.graph.json: Is a directory\n"
+
+
 def test_schema_violation_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "edges": [[1, 2, 1]], "color": "blue"}))
@@ -368,6 +394,20 @@ def test_fuzz_proven_failure_exits_1(capsys, tmp_path, monkeypatch):
     assert len(payload["witness_files"]) == 2
     for name in payload["witness_files"]:
         assert "MINORFACTS_A" in name
+
+
+def test_unwritable_archive_dir_exits_4(capsys, tmp_path, monkeypatch):
+    def fake_battery(m: IntegerMatrix):
+        return [PropertyReport(PropertyId.MINORFACTS_A, FAIL, {"matrix": [[1]]})]
+
+    monkeypatch.setattr(verify, "verify_minor_properties", fake_battery)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    code, _, err = run_cli(
+        capsys, "fuzz", "--cases", "1", "--target", "theorems", "--archive-dir", str(occupied)
+    )
+    assert code == 4
+    assert err == f"usage error: cannot write {occupied}: File exists\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -118,3 +118,29 @@ def test_sample_structure_is_seeded():
     seen = {sample_structure(query, seed).r for seed in range(80)}
     assert seen <= {s.r for s in pool}
     assert len(seen) > 1, "eighty seeds should hit more than one structure"
+
+
+def _fibonacci(n: int) -> int:
+    a, b = 1, 1  # F_1, F_2
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
+
+
+PATH_CASES = [(n, _fibonacci(n), comb(2 * (n - 1), n - 1) // n) for n in range(2, 8)]
+CYCLE_CASES = [(n, _fibonacci(n + 1), comb(2 * n - 1, n - 1)) for n in range(3, 7)]
+
+
+@pytest.mark.parametrize(
+    "graph, r_max, count",
+    [(Multigraph.path(n), r_max, catalan) for n, r_max, catalan in PATH_CASES]
+    + [(Multigraph.cycle(n), r_max, binomial) for n, r_max, binomial in CYCLE_CASES],
+    ids=[f"P{n}" for n, _, _ in PATH_CASES] + [f"C{n}" for n, _, _ in CYCLE_CASES],
+)
+def test_closed_form_counts_on_paths_and_cycles(graph, r_max, count):
+    """Braun et al., Discrete Math. 2018: P_n carries Catalan C_{n-1} structures
+    and C_n carries binom(2n-1, n-1); their largest r entry is F_n on P_n and
+    F_{n+1} on C_n, so the search is complete at that bound and not below it."""
+    assert len(enumerate_structures(EnumerationQuery(graph, r_max))) == count
+    if r_max > 1:  # P_2's bound is 1, the smallest allowed
+        assert len(enumerate_structures(EnumerationQuery(graph, r_max - 1))) < count

@@ -186,6 +186,78 @@ def test_thm_dkl_a_frozen_equalities(nonsimple_a):
 
 
 # ---------------------------------------------------------------------------
+# shared inputs
+
+
+def test_snf_does_not_depend_on_which_vertex_is_last(simple7):
+    """Why one SNF(L) serves every vertex of an instance."""
+    from critgroups.enumeration import enumerate_structures
+    from critgroups.graphs import structure_matrix
+    from critgroups.linalg import smith_normal_form
+
+    queries = [*default_structure_queries(), EnumerationQuery(simple7[0], 3)]
+    cases = 0
+    for query in queries:
+        for s in enumerate_structures(query):
+            diag = smith_normal_form(structure_matrix(query.graph, s)).diag
+            for v in range(query.graph.n):
+                assert smith_normal_form(structure_matrix(query.graph, s, last_vertex=v)).diag == diag
+                cases += 1
+    assert cases > 500
+
+
+def test_shared_values_equal_direct_calls(nonsimple_b):
+    from critgroups.graphs import critical_group, star_clique_reduction, structure_matrix
+    from critgroups.linalg import minor_gcd_profile, minor_gcd_sequence
+
+    g, s = nonsimple_b
+    inst = verify.instance_of(g, s)
+    assert inst.group == critical_group(g, s)
+    assert inst.profile == minor_gcd_profile(structure_matrix(g, s))
+    for v in range(g.n):
+        record = inst.vertex(v)
+        reduced = star_clique_reduction(g, s, v)
+        l_v = structure_matrix(g, s, last_vertex=v)
+        assert record.reduction == reduced
+        assert record.reduced_matrix == structure_matrix(reduced.graph, reduced.structure)
+        assert record.after == critical_group(reduced.graph, reduced.structure)
+        assert record.profile == minor_gcd_profile(l_v)
+        assert record.dkp == minor_gcd_sequence(record.reduced_matrix)
+        assert inst.vertex(v) is record
+    # an equal pair built anew is the same instance; another pair is not
+    twin = (Multigraph(tuple(g.mult)), ArithmeticalStructure(tuple(s.d), tuple(s.r)))
+    assert verify.instance_of(*twin) is inst
+    other = laplacian_structure(g)
+    assert verify.instance_of(g, other).structure == other
+
+
+def test_invalid_pairs_are_never_remembered(nonsimple_a):
+    from critgroups.graphs import star_clique_reduction, structure_matrix
+
+    g, s = nonsimple_a
+    bad = ArithmeticalStructure((1, 1, 1, 1), (1, 1, 1, 1))
+    verify.instance_of(g, s)
+    for _ in range(2):
+        with pytest.raises(StructureError):
+            verify.instance_of(g, bad)
+        with pytest.raises(StructureError):
+            structure_matrix(g, bad)
+        with pytest.raises(StructureError):
+            star_clique_reduction(g, bad, 0)
+        with pytest.raises(StructureError):
+            check_conjecture_alpha(g, bad, 0)
+
+
+def test_wrong_smith_rank_raises(nonsimple_a, monkeypatch):
+    from critgroups.linalg import SnfResult
+
+    g, s = nonsimple_a
+    monkeypatch.setattr(verify, "smith_normal_form", lambda m: SnfResult((1,) * m.rows, m.rows))
+    with pytest.raises(ArithmeticError, match="Smith rank 4, expected 3"):
+        verify_operation_theorems(g, s, 0)
+
+
+# ---------------------------------------------------------------------------
 # conjectures
 
 
