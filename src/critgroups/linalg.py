@@ -357,6 +357,33 @@ class _MinorTable:
         g, self.complete = self._scan(pairs, g)
         return g
 
+    def pivot_gcds(self, k: int) -> tuple[int, list[int]]:
+        """D_k of a square matrix and, per index i, the GCD of the k x k
+        minors whose row and column sets both contain i.
+
+        The scan is lexicographic and stops after the first row set at
+        which all of these GCDs are 1.
+        """
+        self._goto(k)
+        store = self.store
+        evaluate = self._expand if self.prev is not None else partial(_minor_det, self.entries)
+        every = list(combinations(range(self.cols), k))
+        g, pivots = 0, [0] * self.rows
+        for ri in combinations(range(self.rows), k):
+            slots = None if store is None else store.setdefault(ri, {})
+            for ci in every:
+                x = evaluate(ri, ci)
+                if slots is not None:
+                    slots[ci] = x
+                g = gcd(g, x)
+                for i in ri:
+                    if i in ci:
+                        pivots[i] = gcd(pivots[i], x)
+            if g == 1 and pivots.count(1) == self.rows:
+                return 1, pivots
+        self.complete = True
+        return g, pivots
+
 
 def minor_gcd_all(m: IntegerMatrix, k: int) -> int:
     """GCD of all k x k minors (the k-th determinantal divisor D_k).
@@ -401,6 +428,26 @@ def minor_gcd_corner_sequence(m: IntegerMatrix) -> tuple[int, ...]:
     """(D_1*, ..., D_min*) of one matrix, all from one minor table."""
     table = _MinorTable(m)
     return tuple(table.corner_gcd(k) for k in range(1, min(m.rows, m.cols) + 1))
+
+
+def minor_gcd_pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(D_0, ..., D_n) of a square matrix and, per index i, the
+    (D_1*, ..., D_n*) of the matrix with row and column i moved last.
+
+    Moving i last permutes rows and columns alike, so its corner minors
+    are the minors whose row and column sets both contain i, and one
+    minor table serves every i.  Once D_k = 0 every larger minor
+    vanishes, so the remaining values are 0.
+    """
+    if not m.is_square:
+        raise ValueError(f"pivot sequences need a square matrix, got {m.rows}x{m.cols}")
+    table = _MinorTable(m)
+    dk, columns = [1], []
+    for k in range(1, m.rows + 1):
+        g, pivots = table.pivot_gcds(k) if dk[-1] else (0, [0] * m.rows)
+        dk.append(g)
+        columns.append(pivots)
+    return tuple(dk), tuple(zip(*columns))
 
 
 def minor_gcd_profile(m: IntegerMatrix) -> MinorGcdProfile:

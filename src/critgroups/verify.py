@@ -24,7 +24,8 @@ The properties form one table of (id, applicability, comparisons) rows,
 evaluated by :meth:`_Property.report`.  Their inputs are computed once:
 a (graph, structure) pair becomes one validated :class:`_Instance` that
 holds L, SNF(L) and, per vertex, the reduction and everything derived
-from it; the last instance and the last minor-GCD profile are kept, so
+from it; the last instance, the last minor-GCD profile and the last
+pivot scan (D_k and every vertex's D_k* of one L) are kept, so
 consecutive checks of the same pair or matrix share them.
 """
 
@@ -52,6 +53,7 @@ from .linalg import (
     desnanot_jacobi_residual,
     determinant,
     minor_gcd_corner_sequence,
+    minor_gcd_pivot_sequences,
     minor_gcd_profile,
     minor_gcd_sequence,
     row_gcd,
@@ -132,6 +134,7 @@ def divides(a: int, b: int) -> bool:
 # shared inputs
 
 _last_profile: tuple[IntegerMatrix, MinorGcdProfile] | None = None
+_last_pivots: tuple[IntegerMatrix, tuple] | None = None
 _last_instance: _Instance | None = None
 
 
@@ -141,6 +144,14 @@ def _profile(m: IntegerMatrix) -> MinorGcdProfile:
     if _last_profile is None or _last_profile[0] != m:
         _last_profile = (m, minor_gcd_profile(m))
     return _last_profile[1]
+
+
+def _pivots(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``minor_gcd_pivot_sequences(m)``, reused when the previous call had an equal matrix."""
+    global _last_pivots
+    if _last_pivots is None or _last_pivots[0] != m:
+        _last_pivots = (m, minor_gcd_pivot_sequences(m))
+    return _last_pivots[1]
 
 
 def instance_of(g: Multigraph, s: ArithmeticalStructure) -> _Instance:
@@ -187,13 +198,16 @@ class _Vertex:
     ``matrix`` is L with v last, ``m`` = d[v] and ``g`` the gcd of its last
     row; ``alpha``/``alpha_p`` are the invariant factors of L and of L'
     (a_k = alpha[k-1]) and ``order``/``order_p`` the group orders.  The
-    D_k values come from minor scans, on first use.
+    D_k values come from minor scans, on first use: D_k(L) and D_k*(L with
+    v last) from one scan of the minors of L (``base``) that serves every
+    vertex, since moving v last only permutes rows and columns alike.
     """
 
     def __init__(self, inst: _Instance, v: int) -> None:
         g, s = inst.graph, inst.structure
         self.graph, self.structure, self.v = g, s, v
         self.n = g.n
+        self.base = inst.matrix
         self.matrix = structure_matrix(g, s, last_vertex=v)
         self.m = s.d[v]
         self.g = row_gcd(self.matrix, self.n - 1)
@@ -222,8 +236,14 @@ class _Vertex:
         return self.gg * self.lower
 
     @cached_property
-    def profile(self) -> MinorGcdProfile:
-        return _profile(self.matrix)
+    def dk(self) -> tuple[int, ...]:
+        """D_k(L), k = 0..n."""
+        return _pivots(self.base)[0]
+
+    @cached_property
+    def dk_star(self) -> tuple[int, ...]:
+        """D_k*(L) with v last, k = 1..n."""
+        return _pivots(self.base)[1][self.v]
 
     @cached_property
     def dkp(self) -> tuple[int, ...]:
@@ -395,7 +415,7 @@ def _dkl_terms(x: _Vertex):
     """(k, D_k(L'), m^(k-1), m^(k-1) D_{k+1}(L), g^2 m^(k-1) D_{k+1}(L)) for k = 1..n-2."""
     for k in range(1, x.n - 1):
         scale = x.m ** (k - 1)
-        lower = scale * x.profile.dk[k + 1]
+        lower = scale * x.dk[k + 1]
         yield k, x.dkp[k], scale, lower, x.gg * lower
 
 
@@ -412,8 +432,8 @@ def _alpha1_cap(x: _Vertex) -> int:
 
 _OPERATION_PROPERTIES = (
     _Property(PropertyId.THM_DKL_A, _always, lambda x: (
-        _holds(lhs == scale * x.profile.dk_star[k],
-               k=k, dk_prime=lhs, m_power=scale, dk1_star=x.profile.dk_star[k])
+        _holds(lhs == scale * x.dk_star[k],
+               k=k, dk_prime=lhs, m_power=scale, dk1_star=x.dk_star[k])
         for k, lhs, scale, _, _ in _dkl_terms(x))),
     _Property(PropertyId.THM_DKL_B, _always, lambda x: (
         _divides(lower, lhs, k=k, bound=lower, dk_prime=lhs)

@@ -53,10 +53,11 @@ def nonsimple_b(nonsimple) -> tuple[Multigraph, ArithmeticalStructure]:
 
 
 def forget_memos() -> None:
-    """Drop the pair, instance and profile that the package keeps from its last call."""
+    """Drop the pair, instance, profile and pivot scan that the package keeps from its last call."""
     graphs._last_valid = ()
     verify._last_instance = None
     verify._last_profile = None
+    verify._last_pivots = None
 
 
 @pytest.fixture(autouse=True)

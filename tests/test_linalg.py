@@ -27,6 +27,7 @@ from critgroups.linalg import (
     minor,
     minor_gcd_all,
     minor_gcd_corner,
+    minor_gcd_pivot_sequences,
     minor_gcd_profile,
     row_gcd,
     smith_normal_form,
@@ -375,6 +376,43 @@ def test_profile_evaluates_each_minor_once(simple7, monkeypatch):
     assert prof.dk[6] > 1
     assert evaluated
     assert len(evaluated) == len(set(evaluated))
+
+
+def _move_last(rows: list[list[int]], i: int) -> list[list[int]]:
+    order = [j for j in range(len(rows)) if j != i] + [i]
+    return [[rows[a][b] for b in order] for a in order]
+
+
+def _pivot_cases() -> list[list[list[int]]]:
+    """Square matrices whose scans stop at GCD 1, run to the end, or hit D_k = 0."""
+    rng = random.Random(13)
+    cases = [random_rows(rng, n, n, bound=6) for n in (1, 2, 3, 4, 5) for _ in range(4)]
+    cases += [[[c * x for x in row] for row in random_rows(rng, n, n, bound=4)]
+              for n in (3, 4, 5) for c in (2, 6)]
+    cases += [[[1, 2, 3], [2, 4, 6], [3, 6, 9]], [[0] * 4 for _ in range(4)]]
+    for g in (Multigraph.path(5), Multigraph.cycle(5)):
+        for s in list(enumerate_structures(EnumerationQuery(g, 8)))[::7]:
+            cases.append([list(r) for r in structure_matrix(g, s).entries])
+    return cases
+
+
+@pytest.mark.parametrize("cap", [linalg._TABLE_CAP, 4])
+def test_pivot_sequences_match_oracle(cap, monkeypatch):
+    # a cap of 4 stores no size a larger one could expand from
+    monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
+    for rows in _pivot_cases():
+        n = len(rows)
+        dk, pivots = minor_gcd_pivot_sequences(IntegerMatrix.from_rows(rows))
+        assert dk == tuple(brute_minor_gcd(rows, k) for k in range(n + 1)), rows
+        assert pivots == tuple(
+            tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
+            for i in range(n)
+        ), rows
+
+
+def test_pivot_sequences_need_a_square_matrix():
+    with pytest.raises(ValueError):
+        minor_gcd_pivot_sequences(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Failing-report witnesses of all 28 properties, replayed against golden values.
 
 Each scenario runs the public checks on a real input while one seam
-(``smith_normal_form``, ``minor_gcd_profile``, ``minor_gcd_sequence``,
-``minor_gcd_corner_sequence``, ``determinant``, ``desnanot_jacobi_residual``,
-looked up in ``critgroups.verify``) returns one entry made inconsistent:
-plus one or zero.  Every report -- status, witness and
+(``smith_normal_form``, ``minor_gcd_profile``, ``minor_gcd_pivot_sequences``,
+``minor_gcd_sequence``, ``minor_gcd_corner_sequence``, ``determinant``,
+``desnanot_jacobi_residual``, looked up in ``critgroups.verify``) returns
+one entry made inconsistent: plus one or zero.  The operation family reads
+D_k(L) and D_k*(L with v last) from ``minor_gcd_pivot_sequences``; its
+scenarios keep the ``profile.dk``/``profile.dk_star`` labels of those values.  Every report -- status, witness and
 ``degenerate`` flag -- must equal the one in ``tests/golden/witnesses.json``,
 so the first failing comparison of each property keeps its k, its witness
 keys and its values.  To record the file again (only when a witness change
@@ -103,7 +105,14 @@ def _operation_changes(n: int):
             yield f"{label}.diag[{i}]", "smith_normal_form", (
                 lambda r, kind, m, i=i, rows=rows: r if m.rows != rows
                 else replace(r, diag=_at(r.diag, i, kind)))
-    yield from _profile_changes(n)
+    for i in range(n + 1):
+        yield f"profile.dk[{i}]", "minor_gcd_pivot_sequences", (
+            lambda p, kind, m, i=i: (_at(p[0], i, kind), p[1]))
+    for i in range(n):
+        yield f"profile.dk_star[{i}]", "minor_gcd_pivot_sequences", (
+            lambda p, kind, m, i=i: (p[0], tuple(_at(star, i, kind) for star in p[1])))
+    for i in range(n + 1):
+        yield f"sequence[{i}]", "minor_gcd_sequence", lambda s, kind, m, i=i: _at(s, i, kind)
 
 
 def _patched(seam: str, fake, run):

@@ -12,7 +12,8 @@ from critgroups import cli, enumeration, graphs, jsonio, linalg, verify
 from critgroups.jsonio import fixture_path
 
 MODULES = (critgroups, linalg, graphs, verify, enumeration, jsonio, cli)
-COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "minor_gcd_profile")
+COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "minor_gcd_profile",
+           "minor_gcd_pivot_sequences")
 
 
 @pytest.fixture
@@ -38,15 +39,15 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     # one validation at the boundary plus the self-check of each of the 7
-    # reductions; SNF(L) once and SNF(L') per vertex.  Profiles: L (shared
-    # by both matrix checks), then L with each vertex last; the twin leaves
-    # 1, 2 and the twins 5, 6 give equal matrices, and vertex 7 last gives L
-    # again, but only after other matrices
+    # reductions; SNF(L) once and SNF(L') per vertex.  One profile of L,
+    # shared by both matrix checks, and one scan of the minors of L that
+    # gives D_k(L) and every vertex its D_k*
     assert calls == {
         "validate_structure": 8,
         "smith_normal_form": 8,
         "star_clique_reduction": 7,
-        "minor_gcd_profile": 6,
+        "minor_gcd_profile": 1,
+        "minor_gcd_pivot_sequences": 1,
     }
 
 
@@ -54,13 +55,14 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     summary = verify.fuzz_campaign(verify.FuzzConfig(seed=0, case_count=100))
     assert summary.cases == 100
     # per case: the case matrix's profile, shared by its two checks; one
-    # instance (validation, SNF(L)) and one reduction (self-check, SNF(L'));
-    # the profile of L with v last, shared by the operation checks and the
-    # minors conjecture.  Two cases draw the previous case's structure at
-    # another vertex and reuse its instance.
+    # instance (validation, SNF(L), the pivot scan of L) and one reduction
+    # (self-check, SNF(L')); the profile of L with v last for the minors
+    # conjecture.  Two cases draw the previous case's structure at another
+    # vertex and reuse its instance.
     assert calls == {
         "validate_structure": 198,
         "smith_normal_form": 198,
         "star_clique_reduction": 100,
         "minor_gcd_profile": 200,
+        "minor_gcd_pivot_sequences": 98,
     }
