@@ -5,6 +5,20 @@ candidate r-vectors; every structure whose r entries all stay within the
 bound is found, and nothing outside the box is explored.  Beyond the
 bound a graph generally carries further structures, so callers must treat
 the result as "complete up to r_max", never as the full (finite) set.
+
+The search assigns r[0], r[1], ... in turn.  Vertex i's condition, r[i]
+divides S_i = sum over j of mult[i][j] * r[j], can be tested once its
+last neighbour k has a value.  If k > i, the condition is the congruence
+
+    mult[i][k] * r[k] == -p_i   (mod r[i]),
+
+where p_i is the part of S_i already assigned.  With h = gcd(mult[i][k],
+r[i]) it has no solution unless h divides p_i, and otherwise its
+solutions are exactly one residue class modulo r[i] / h.  So each depth
+steps r[k] through the residue class of its largest modulus and tests the
+other congruences (and r[k] | S_k when k is its own last neighbour) with
+one modular test each.  Every value it skips fails a condition, so the
+search is still exhaustive over the box.
 """
 
 from __future__ import annotations
@@ -12,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .graphs import ArithmeticalStructure, Multigraph
 
@@ -22,6 +37,8 @@ class EnumerationQuery:
     r_max: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.r_max, bool) or not isinstance(self.r_max, int):
+            raise ValueError(f"r_max must be an int, got {self.r_max!r}")
         if self.r_max < 1:
             raise ValueError(f"r_max must be at least 1, got {self.r_max}")
 
@@ -29,48 +46,79 @@ class EnumerationQuery:
 def enumerate_structures(query: EnumerationQuery) -> list[ArithmeticalStructure]:
     """All structures with max(r) <= r_max, sorted lexicographically by r.
 
-    Depth-first search assigns r vertex by vertex; the divisibility
-    condition at vertex i (r[i] must divide the weighted neighbor sum) is
-    applied as soon as the last neighbor of i has a value, which prunes
-    most of the box before it is ever walked.  The gcd(r) = 1 condition
-    can only be tested on full assignments.
+    Depth-first search assigns r vertex by vertex.  When r[k] is the last
+    neighbour of an earlier vertex i to get a value, i's condition becomes
+    a congruence on r[k] with p_i, the rest of i's neighbour sum, computed
+    once per node: the node is pruned when gcd(mult[i][k], r[i]) does not
+    divide p_i, and otherwise r[k] steps through the solutions of the
+    congruence with the largest modulus, each checked against the others
+    and, when k has no later neighbour, against r[k] | S_k.  Only values
+    that fail some vertex condition are skipped, and every depth steps in
+    increasing order, so the result is every structure in [1, r_max]^n,
+    already sorted.  The gcd(r) = 1 condition can only be tested on full
+    assignments.
     """
     g = query.graph
     n = g.n
-    mult = g.mult
     r_max = query.r_max
+    # (indices, multiplicities) of each vertex's neighbours
+    neighbours = [
+        (tuple(j for j, m in enumerate(row) if m), tuple(m for m in row if m)) for row in g.mult
+    ]
 
-    # ready_at[k] lists the vertices whose neighborhood (and self) is fully
-    # assigned once r[0..k-1] are chosen.
-    ready_at: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(n):
-        last = i
-        for j in range(n):
-            if mult[i][j] > 0 and j > last:
-                last = j
-        ready_at[last + 1].append(i)
+    # closing[k] holds (i, mult[i][k], i's other neighbours) for each i < k
+    # whose last neighbour is k; closes_self[k] says k has no later neighbour.
+    closing: list[list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(n)]
+    closes_self = [True] * n
+    for i, (js, ms) in enumerate(neighbours):
+        last = max(js, default=i)
+        if last > i:
+            closes_self[i] = False
+            others = tuple(j for j in js if j != last)
+            closing[last].append((i, g.mult[i][last], others, tuple(g.mult[i][j] for j in others)))
 
     results: list[ArithmeticalStructure] = []
     r = [0] * n
+    at = r.__getitem__
+
+    def weighted(js: tuple[int, ...], ms: tuple[int, ...]) -> int:
+        return sum(map(mul, ms, map(at, js)))
 
     def extend(k: int) -> None:
         if k == n:
             if gcd(*r) == 1:
-                d = tuple(sum(m * r[j] for j, m in enumerate(mult[i])) // r[i] for i in range(n))
+                d = tuple(weighted(*neighbours[i]) // r[i] for i in range(n))
                 results.append(ArithmeticalStructure(d, tuple(r)))
             return
-        for value in range(1, r_max + 1):
+        # Each closing vertex i leaves r[k] one residue class modulo r[i] / h;
+        # r[k] steps through the class with the largest modulus.
+        step, residue = 1, 0
+        classes = []
+        for i, m, js, ms in closing[k]:
+            ri = r[i]
+            p = weighted(js, ms)
+            h = gcd(m, ri)
+            if p % h:
+                return
+            modulus = ri // h
+            want = -(p // h) * pow(m // h, -1, modulus) % modulus
+            if modulus > step:
+                if step > 1:
+                    classes.append((step, residue))
+                step, residue = modulus, want
+            elif modulus > 1:
+                classes.append((modulus, want))
+        values = range(residue or step, r_max + 1, step)
+        if closes_self[k]:
+            total = weighted(*neighbours[k])
+            values = [value for value in values if total % value == 0]
+        for modulus, want in classes:
+            values = [value for value in values if value % modulus == want]
+        for value in values:
             r[k] = value
-            ok = True
-            for i in ready_at[k + 1]:
-                if sum(m * r[j] for j, m in enumerate(mult[i])) % r[i] != 0:
-                    ok = False
-                    break
-            if ok:
-                extend(k + 1)
+            extend(k + 1)
 
     extend(0)
-    results.sort(key=lambda s: s.r)
     return results
 
 

@@ -83,9 +83,11 @@ class Multigraph:
         """Build from (i, j, multiplicity) triples with 0-based endpoints.
 
         Multiplicities of repeated pairs are summed; (i, j) and (j, i)
-        name the same undirected edge.
+        name the same undirected edge.  Fewer than n - 1 triples cannot
+        connect n vertices, which is reported before the n x n matrix is
+        allocated, so a huge n costs nothing.
         """
-        mult = [[0] * n for _ in range(n)]
+        edges = list(edges)
         for i, j, m in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"edge endpoint out of range: ({i}, {j})")
@@ -93,6 +95,10 @@ class Multigraph:
                 raise GraphError(f"loop at vertex {i} not allowed")
             if m < 1:
                 raise GraphError(f"edge multiplicity must be positive, got {m}")
+        if len(edges) < n - 1:
+            raise GraphError("graph must be connected")
+        mult = [[0] * n for _ in range(n)]
+        for i, j, m in edges:
             mult[i][j] += m
             mult[j][i] += m
         return cls(tuple(tuple(row) for row in mult))

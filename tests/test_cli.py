@@ -178,6 +178,17 @@ def test_disconnected_graph_exits_3(capsys, tmp_path):
     assert "validation error" in err
 
 
+def test_huge_vertex_count_exits_3(capsys, tmp_path):
+    # rejected as disconnected before an n x n matrix (10**24 cells) is allocated
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10**12, "edges": [[1, 2, 1]]}))
+    for args in (("enumerate", str(huge), "--rmax", "2"), ("critgroup", "--laplacian", str(huge))):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 3
+        assert out == ""
+        assert "validation error" in err and "graph must be connected" in err
+
+
 def test_usage_errors_exit_4(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 4
     assert run_cli(capsys)[0] == 4

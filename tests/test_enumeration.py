@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from math import comb, gcd
 
@@ -30,6 +31,22 @@ def brute_enumerate(g: Multigraph, r_max: int) -> list[tuple[tuple[int, ...], tu
     return sorted(found, key=lambda pair: pair[1])
 
 
+def random_multigraphs(seed: int, count: int) -> list[tuple[Multigraph, int]]:
+    """Seeded connected multigraphs on 2..5 vertices, multiplicities 1..3, with r_max <= 6."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        order = rng.sample(range(n), n)
+        # a random spanning tree, then a few extra (possibly parallel) edges
+        edges = [(order[i], order[rng.randrange(i)], rng.randint(1, 3)) for i in range(1, n)]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.sample(range(n), 2)
+            edges.append((i, j, rng.randint(1, 3)))
+        cases.append((Multigraph.from_edges(n, edges), rng.randint(1, 6)))
+    return cases
+
+
 @pytest.mark.parametrize(
     "graph, r_max",
     [
@@ -40,7 +57,15 @@ def brute_enumerate(g: Multigraph, r_max: int) -> list[tuple[tuple[int, ...], tu
         (Multigraph.cycle(3), 6),
         (Multigraph.cycle(4), 4),
         (Multigraph.from_edges(4, NONSIMPLE_EDGES), 3),
-    ],
+        # double and triple edges: gcd(mult, r[i]) > 1, and its prune on p_i
+        (Multigraph.from_edges(4, [(0, 1, 2), (1, 2, 3), (2, 3, 2)]), 8),
+        (Multigraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)]), 6),  # K_{1,3}, hub first
+        (Multigraph.from_edges(4, [(3, 0, 1), (3, 1, 1), (3, 2, 1)]), 6),  # K_{1,3}, hub last
+        (Multigraph.from_edges(4, [(i, j, 1) for i in range(4) for j in range(i)]), 6),  # K_4
+        (Multigraph.cycle(4), 1),
+        (Multigraph.from_edges(4, NONSIMPLE_EDGES), 1),
+    ]
+    + random_multigraphs(seed=2018, count=30),
 )
 def test_enumeration_matches_box_scan(graph, r_max):
     got = enumerate_structures(EnumerationQuery(graph, r_max))
@@ -107,8 +132,9 @@ def test_results_are_sorted_and_deterministic():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        EnumerationQuery(Multigraph.path(3), 0)
+    for r_max in (0, -1, True, False, 2.0, 2.5, "3", None):
+        with pytest.raises(ValueError):
+            EnumerationQuery(Multigraph.path(3), r_max)
 
 
 def test_sample_structure_is_seeded():
@@ -127,8 +153,8 @@ def _fibonacci(n: int) -> int:
     return a
 
 
-PATH_CASES = [(n, _fibonacci(n), comb(2 * (n - 1), n - 1) // n) for n in range(2, 8)]
-CYCLE_CASES = [(n, _fibonacci(n + 1), comb(2 * n - 1, n - 1)) for n in range(3, 7)]
+PATH_CASES = [(n, _fibonacci(n), comb(2 * (n - 1), n - 1) // n) for n in range(2, 9)]
+CYCLE_CASES = [(n, _fibonacci(n + 1), comb(2 * n - 1, n - 1)) for n in range(3, 8)]
 
 
 @pytest.mark.parametrize(

@@ -71,6 +71,16 @@ def test_from_edges_errors():
         Multigraph.from_edges(2, [(0, 1, 0)])
 
 
+def test_from_edges_rejects_too_few_edges_before_allocating():
+    # an n x n matrix for this n would need 10**24 cells
+    with pytest.raises(GraphError, match="graph must be connected"):
+        Multigraph.from_edges(10**12, [(0, 1, 1)])
+    with pytest.raises(GraphError, match="out of range"):
+        Multigraph.from_edges(10**12, [(0, 10**12, 1)])
+    with pytest.raises(GraphError, match="graph must be connected"):
+        Multigraph.from_edges(4, [(0, 1, 1), (1, 0, 1), (2, 3, 1)])
+
+
 def test_builders():
     p4 = Multigraph.path(4)
     assert p4.edge_list() == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
