@@ -27,6 +27,14 @@ holds L, SNF(L) and, per vertex, the reduction and everything derived
 from it; the last instance, the last minor-GCD profile and the last
 pivot scan (D_k and every vertex's D_k* of one L) are kept, so
 consecutive checks of the same pair or matrix share them.
+
+Determinantal divisors come from two engines, chosen by matrix.  The
+operation family takes D_k(L') as the prefix products of the Smith form
+of L' (D_k is the product of the first k invariant factors), and D_k(L)
+and D_k*(L) from one pivot scan of the minors of L.  THM_DKL_A, which
+equates D_k(L') with m^(k-1) D_{k+1}*(L), therefore still compares two
+independent computations: a wrong SNF(L') or a wrong scan of L breaks
+it.  The matrix family scans minors throughout.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
+from operator import mul
 
 from .enumeration import EnumerationQuery, enumerate_structures
 from .graphs import (
@@ -197,10 +207,13 @@ class _Vertex:
 
     ``matrix`` is L with v last, ``m`` = d[v] and ``g`` the gcd of its last
     row; ``alpha``/``alpha_p`` are the invariant factors of L and of L'
-    (a_k = alpha[k-1]) and ``order``/``order_p`` the group orders.  The
-    D_k values come from minor scans, on first use: D_k(L) and D_k*(L with
-    v last) from one scan of the minors of L (``base``) that serves every
-    vertex, since moving v last only permutes rows and columns alike.
+    (a_k = alpha[k-1]) and ``order``/``order_p`` the group orders, from
+    SNF(L) and ``snf_p`` = SNF(L').  ``dkp``, D_k(L'), is the prefix
+    products of ``snf_p``'s diagonal.  D_k(L) and D_k*(L with v last) come
+    from a scan of the minors of L (``base``), on first use; one scan
+    serves every vertex, since moving v last only permutes rows and
+    columns alike.  No SNF enters them, so THM_DKL_A..D compare values of
+    different engines.
     """
 
     def __init__(self, inst: _Instance, v: int) -> None:
@@ -215,7 +228,8 @@ class _Vertex:
         self.alpha, self.order = inst.group.invariant_factors, inst.group.order
         self.reduction = star_clique_reduction(g, s, v)
         self.reduced_matrix = self.reduction.matrix()
-        self.after = CriticalGroup.from_snf(smith_normal_form(self.reduced_matrix), self.n - 1)
+        self.snf_p = smith_normal_form(self.reduced_matrix)
+        self.after = CriticalGroup.from_snf(self.snf_p, self.n - 1)
         self.alpha_p, self.order_p = self.after.invariant_factors, self.after.order
 
     @property
@@ -247,8 +261,8 @@ class _Vertex:
 
     @cached_property
     def dkp(self) -> tuple[int, ...]:
-        """D_k(L'), k = 0..n-1."""
-        return minor_gcd_sequence(self.reduced_matrix)
+        """D_k(L'), k = 0..n-1: the prefix products of SNF(L')'s zero-padded diagonal."""
+        return tuple(accumulate(self.snf_p.diag, mul, initial=1))
 
 
 class _MatrixFacts:
@@ -558,6 +572,11 @@ class FuzzConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.matrix_dims
+        for name, value in (("seed", self.seed), ("entry_bound", self.entry_bound),
+                            ("case_count", self.case_count), ("each matrix_dims entry", lo),
+                            ("each matrix_dims entry", hi)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 1 <= lo <= hi:
             raise ValueError(f"bad dimension range {self.matrix_dims}")
         if self.entry_bound < 1:

@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import critgroups.verify as verify
-from critgroups.enumeration import EnumerationQuery
+from critgroups.enumeration import EnumerationQuery, enumerate_structures
 from critgroups.graphs import (
     ArithmeticalStructure,
     Multigraph,
     StructureError,
     laplacian_structure,
 )
-from critgroups.linalg import IntegerMatrix, minor_gcd_all, minor_gcd_corner
+from critgroups.linalg import (
+    IntegerMatrix,
+    determinant,
+    minor_gcd_all,
+    minor_gcd_corner,
+    minor_gcd_sequence,
+)
 from critgroups.verify import (
     FAIL,
     NOT_APPLICABLE,
@@ -232,6 +239,59 @@ def test_shared_values_equal_direct_calls(nonsimple_b):
     assert verify.instance_of(g, other).structure == other
 
 
+def random_multigraph_structures(seed: int, count: int) -> list[tuple[Multigraph, ArithmeticalStructure]]:
+    """Seeded structures at r_max 4 on connected multigraphs with 3..7 vertices, multiplicities 1..3."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(3, 7)
+        # a random spanning tree, then a few extra edges; a repeated pair gets a new multiplicity
+        mult = {(i, rng.randrange(i)): rng.randint(1, 3) for i in range(1, n)}
+        for _ in range(rng.randint(0, 3)):
+            i, j = sorted(rng.sample(range(n), 2), reverse=True)
+            mult[i, j] = rng.randint(1, 3)
+        g = Multigraph.from_edges(n, [(i, j, m) for (i, j), m in mult.items()])
+        structures = enumerate_structures(EnumerationQuery(g, 4))
+        pairs.extend((g, s) for s in rng.sample(structures, min(3, len(structures))))
+    return pairs[:count]
+
+
+def test_dkp_equals_the_minor_scan_of_the_reduced_matrix():
+    """D_k(L') from SNF(L') against the scan of every k x k minor of L'."""
+    pairs = [(g, s) for g in (Multigraph.path(5), Multigraph.cycle(5), Multigraph.cycle(6))
+             for s in enumerate_structures(EnumerationQuery(g, 8))]
+    pairs += random_multigraph_structures(seed=6, count=60)
+    cases = 0
+    for g, s in pairs:
+        inst = verify.instance_of(g, s)
+        for v in range(g.n):
+            record = inst.vertex(v)
+            assert record.dkp == minor_gcd_sequence(record.reduced_matrix), (s, v)
+            cases += 1
+    assert cases > 3000
+
+
+def test_operation_family_at_eleven_vertices():
+    """A size the minor scan of L' cannot serve in this suite; the order identity is the oracle.
+
+    For every vertex u of L', |K'| r'_u^2 = det(L' without row and column u),
+    and |K'| = D_{n-2}(L').  The determinant is Bareiss elimination, which
+    uses neither SNF nor a minor scan.
+    """
+    n = 11
+    cycle = Multigraph.cycle(n)
+    structures = enumerate_structures(EnumerationQuery(cycle, 4))
+    for s in (laplacian_structure(cycle), random.Random(11).choice(structures)):
+        for v in range(n):
+            assert not any(r.failed for r in verify_operation_theorems(cycle, s, v)), (s, v)
+            record = verify.instance_of(cycle, s).vertex(v)
+            assert record.dkp[n - 1] == 0
+            reduced, r_p = record.reduced_matrix, record.reduction.structure.r
+            for u in range(n - 1):
+                rest = [i for i in range(n - 1) if i != u]
+                assert record.dkp[n - 2] * r_p[u] ** 2 == determinant(reduced.submatrix(rest, rest))
+
+
 def test_invalid_pairs_are_never_remembered(nonsimple_a):
     from critgroups.graphs import star_clique_reduction, structure_matrix
 
@@ -291,6 +351,13 @@ def test_fuzz_config_validation():
         FuzzConfig(case_count=-1)
     with pytest.raises(ValueError):
         FuzzConfig(target="everything")
+    for name in ("seed", "entry_bound", "case_count"):
+        for value in (True, False, 1.5, 2.0, 2.5, "3", None):
+            with pytest.raises(ValueError, match=f"{name} must be an int"):
+                FuzzConfig(**{name: value})
+    for dims in ((2.0, 3), (2, 3.5), (True, 3), (1, True), ("2", 3)):
+        with pytest.raises(ValueError, match="each matrix_dims entry must be an int"):
+            FuzzConfig(matrix_dims=dims)
 
 
 def test_case_matrix_is_deterministic_and_bounded():

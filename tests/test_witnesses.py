@@ -6,7 +6,11 @@ Each scenario runs the public checks on a real input while one seam
 ``desnanot_jacobi_residual``, looked up in ``critgroups.verify``) returns
 one entry made inconsistent: plus one or zero.  The operation family reads
 D_k(L) and D_k*(L with v last) from ``minor_gcd_pivot_sequences``; its
-scenarios keep the ``profile.dk``/``profile.dk_star`` labels of those values.  Every report -- status, witness and
+scenarios keep the ``profile.dk``/``profile.dk_star`` labels of those
+values.  It reads D_k(L') from the diagonal of SNF(L'), so its
+``snf(L').diag`` scenarios reach THM_DKL_A..D as well, and it has no
+``sequence`` scenarios: only the matrix family scans with
+``minor_gcd_sequence``.  Every report -- status, witness and
 ``degenerate`` flag -- must equal the one in ``tests/golden/witnesses.json``,
 so the first failing comparison of each property keeps its k, its witness
 keys and its values.  To record the file again (only when a witness change
@@ -111,8 +115,6 @@ def _operation_changes(n: int):
     for i in range(n):
         yield f"profile.dk_star[{i}]", "minor_gcd_pivot_sequences", (
             lambda p, kind, m, i=i: (p[0], tuple(_at(star, i, kind) for star in p[1])))
-    for i in range(n + 1):
-        yield f"sequence[{i}]", "minor_gcd_sequence", lambda s, kind, m, i=i: _at(s, i, kind)
 
 
 def _patched(seam: str, fake, run):

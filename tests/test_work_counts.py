@@ -13,7 +13,7 @@ from critgroups.jsonio import fixture_path
 
 MODULES = (critgroups, linalg, graphs, verify, enumeration, jsonio, cli)
 COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "minor_gcd_profile",
-           "minor_gcd_pivot_sequences")
+           "minor_gcd_pivot_sequences", "minor_gcd_sequence")
 
 
 @pytest.fixture
@@ -39,15 +39,17 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     # one validation at the boundary plus the self-check of each of the 7
-    # reductions; SNF(L) once and SNF(L') per vertex.  One profile of L,
-    # shared by both matrix checks, and one scan of the minors of L that
-    # gives D_k(L) and every vertex its D_k*
+    # reductions; SNF(L) once and SNF(L') per vertex, which also gives
+    # D_k(L').  One profile of L, shared by both matrix checks, one scan of
+    # the minors of L that gives D_k(L) and every vertex its D_k*, and the
+    # scans of the two MINORFACTS_B submatrices of L
     assert calls == {
         "validate_structure": 8,
         "smith_normal_form": 8,
         "star_clique_reduction": 7,
         "minor_gcd_profile": 1,
         "minor_gcd_pivot_sequences": 1,
+        "minor_gcd_sequence": 2,
     }
 
 
@@ -57,12 +59,14 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     # per case: the case matrix's profile, shared by its two checks; one
     # instance (validation, SNF(L), the pivot scan of L) and one reduction
     # (self-check, SNF(L')); the profile of L with v last for the minors
-    # conjecture.  Two cases draw the previous case's structure at another
-    # vertex and reuse its instance.
+    # conjecture; the two MINORFACTS_B submatrix scans of the case matrix.
+    # Two cases draw the previous case's structure at another vertex and
+    # reuse its instance.
     assert calls == {
         "validate_structure": 198,
         "smith_normal_form": 198,
         "star_clique_reduction": 100,
         "minor_gcd_profile": 200,
         "minor_gcd_pivot_sequences": 98,
+        "minor_gcd_sequence": 200,
     }
