@@ -16,12 +16,11 @@ determinant of the submatrix selected by a row set and a column set of
 equal size; no cofactor sign is applied.
 
 Minor GCDs come from scans over explicitly evaluated minors.  The scans
-of one matrix share a minor table that walks the sizes k = 1, 2, ... and
-keeps only the previous size and the current one.  A k x k minor is
-expanded along its last row from the stored (k-1) x (k-1) minors when the
-D_{k-1} scan evaluated every one of them; otherwise (the scan stopped
-early at GCD 1, or a size has more than 2**15 minors and is not stored)
-it is computed by Bareiss elimination.
+of one matrix share a minor table that keeps every size with at most
+2**15 minors, so no minor is evaluated twice.  A k x k minor with k >= 3
+is expanded along its last row from the stored (k-1) x (k-1) minors,
+missing ones filled the same way; it is computed by Bareiss elimination
+only when size k - 1 has too many minors to be stored.
 """
 
 from __future__ import annotations
@@ -250,99 +249,115 @@ _TABLE_CAP = 1 << 15  # a size with more minors than this is not stored
 
 
 class _MinorTable:
-    """The minors of one matrix, evaluated size by size.
+    """The minors of one matrix, each evaluated at most once.
 
-    The table walks sizes k = 1, 2, ... in order and keeps two of them:
-    the previous size and the current one, each as
-    ``{row_set: {col_set: minor}}``.  A size is stored only when it has at
-    most ``_TABLE_CAP`` minors.  A k x k minor is expanded along its last
-    row from the (k-1) x (k-1) minors when the previous size is stored and
-    complete, that is, when its D_{k-1} scan ran to the end; otherwise it
-    is computed by Bareiss elimination.
+    Every size k with at most ``_TABLE_CAP`` minors is stored, for the
+    life of the table, as ``{row_set: {col_set: minor}}``.  A minor is
+    looked up first.  Otherwise a 1 x 1 or 2 x 2 minor is computed
+    outright, and a larger one is expanded along its last row from the
+    (k-1) x (k-1) minors, any missing one of which is filled the same
+    way; Bareiss elimination is used only when size k - 1 is not stored.
+    So the scans of one table share every minor they evaluate, whatever
+    their order and wherever an earlier scan stopped.
 
     At each size the corner scan (D_k*) comes first; the full scan (D_k)
-    then starts from its GCD and skips the corner minors, so no minor is
-    evaluated twice.  Both scans are lexicographic and stop as soon as
-    the running GCD reaches 1.
+    then starts from its GCD and skips the corner minors.  Both scans are
+    lexicographic and stop as soon as the running GCD reaches 1.
+    ``profile()`` and ``pivot_sequences()`` are computed once and kept.
     """
 
     def __init__(self, m: IntegerMatrix) -> None:
+        self.matrix = m
         self.entries = m.entries
         self.rows = m.rows
         self.cols = m.cols
-        self.size = 0  # size 0 is not stored: a 1 x 1 minor is an entry
-        self.store: dict | None = None
-        self.complete = False
-        self.prev: dict | None = None
+        self.size = min(m.rows, m.cols)
+        self.stores = [None] + [
+            {} if comb(self.rows, k) * comb(self.cols, k) <= _TABLE_CAP else None
+            for k in range(1, self.size + 1)
+        ]
         self.terms: dict = {}
-        self.corner_g: int | None = None
+        self.corner_g: dict[int, int] = {}
+        self._profile: MinorGcdProfile | None = None
+        self._pivots: tuple | None = None
 
-    def _goto(self, k: int) -> None:
-        """Make k the current size, keeping size k - 1 if it is complete."""
-        if k == self.size:
-            return
-        self.prev = self.store if k == self.size + 1 and self.complete else None
-        self.size = k
-        self.store = {} if comb(self.rows, k) * comb(self.cols, k) <= _TABLE_CAP else None
-        self.complete = False
-        self.terms = {}
-        self.corner_g = None
+    def _slots(self, k: int, ri: tuple[int, ...]) -> dict:
+        """The stored k x k minors on row set ri (a throwaway dict when size k is not stored)."""
+        store = self.stores[k]
+        if store is None:
+            return {}
+        slots = store.get(ri)
+        if slots is None:
+            slots = store[ri] = {}
+        return slots
+
+    def _evaluator(self, k: int):
+        """How a k x k minor that is not stored yet gets evaluated."""
+        if k > 2 and self.stores[k - 1] is not None:
+            return self._expand
+        return partial(_minor_det, self.entries)
 
     def _expand(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
-        """The minor on row set ri and column set ci, from the previous size."""
+        """The minor on row set ri and column set ci, from the (k-1) x (k-1) minors."""
         terms = self.terms.get(ci)
         if terms is None:
             # Laplace terms along the last row: column ci[t] pairs with the
             # (k-1)-minor on ci without ci[t], with sign (-1)**(k-1+t).
             k = len(ci)
             drops = [(ci[t], ci[:t] + ci[t + 1 :]) for t in range(k)]
-            terms = self.terms[ci] = (drops[(k - 1) % 2 :: 2], drops[k % 2 :: 2])
+            terms = self.terms[ci] = (self.stores[k - 1], drops[(k - 1) % 2 :: 2], drops[k % 2 :: 2])
+        store, plus, minus = terms
         row = self.entries[ri[-1]]
-        sub = self.prev[ri[:-1]]
-        plus, minus = terms
-        total = 0
-        for c, rest in plus:
-            x = row[c]
-            if x:
-                total += x * sub[rest]
-        for c, rest in minus:
-            x = row[c]
-            if x:
-                total -= x * sub[rest]
-        return total
+        head = ri[:-1]
+        sub = store.get(head)
+        if sub is None:
+            sub = store[head] = {}
+        while True:
+            total = 0
+            try:
+                for c, rest in plus:
+                    x = row[c]
+                    if x:
+                        total += x * sub[rest]
+                for c, rest in minus:
+                    x = row[c]
+                    if x:
+                        total -= x * sub[rest]
+                return total
+            except KeyError:
+                # fill the missing (k-1)-minors that have a nonzero coefficient
+                evaluate = self._evaluator(len(head))
+                for c, rest in plus + minus:
+                    if row[c] and rest not in sub:
+                        sub[rest] = evaluate(head, rest)
 
-    def _scan(self, pairs, g: int) -> tuple[int, bool]:
-        """Fold the minors at (row set, column sets) pairs into g.
-
-        Returns the GCD and whether the scan ran to the end.
-        """
-        store = self.store
-        evaluate = self._expand if self.prev is not None else partial(_minor_det, self.entries)
+    def _scan(self, k: int, pairs, g: int) -> int:
+        """Fold the k x k minors at (row set, column sets) pairs into g; stop at 1."""
+        evaluate = self._evaluator(k)
         for ri, col_sets in pairs:
-            slots = None if store is None else store.setdefault(ri, {})
+            slots = self._slots(k, ri)
             for ci in col_sets:
-                x = evaluate(ri, ci)
-                if slots is not None:
-                    slots[ci] = x
+                x = slots.get(ci)
+                if x is None:
+                    x = slots[ci] = evaluate(ri, ci)
                 g = gcd(g, x)
                 if g == 1:
-                    return 1, False
-        return g, True
+                    return 1
+        return g
 
     def corner_gcd(self, k: int) -> int:
         """D_k*: GCD of the k x k minors through the last row and column."""
-        self._goto(k)
-        last_r = self.rows - 1
-        last_c = self.cols - 1
-        col_sets = [h + (last_c,) for h in combinations(range(last_c), k - 1)]
-        heads = combinations(range(last_r), k - 1)
-        self.corner_g, _ = self._scan(((h + (last_r,), col_sets) for h in heads), 0)
-        return self.corner_g
+        if k not in self.corner_g:
+            last_r = self.rows - 1
+            last_c = self.cols - 1
+            col_sets = [h + (last_c,) for h in combinations(range(last_c), k - 1)]
+            heads = combinations(range(last_r), k - 1)
+            self.corner_g[k] = self._scan(k, ((h + (last_r,), col_sets) for h in heads), 0)
+        return self.corner_g[k]
 
     def all_gcd(self, k: int) -> int:
-        """D_k: GCD of all k x k minors, reusing this size's corner scan."""
-        self._goto(k)
-        g = self.corner_g
+        """D_k: GCD of all k x k minors, reusing this size's corner scan if it ran."""
+        g = self.corner_g.get(k)
         if g == 1:
             return 1
         every = list(combinations(range(self.cols), k))
@@ -354,8 +369,7 @@ class _MinorTable:
             last_r = self.rows - 1
             other = list(combinations(range(self.cols - 1), k))
             pairs = ((ri, other if ri[-1] == last_r else every) for ri in row_sets)
-        g, self.complete = self._scan(pairs, g)
-        return g
+        return self._scan(k, pairs, g)
 
     def pivot_gcds(self, k: int) -> tuple[int, list[int]]:
         """D_k of a square matrix and, per index i, the GCD of the k x k
@@ -364,25 +378,74 @@ class _MinorTable:
         The scan is lexicographic and stops after the first row set at
         which all of these GCDs are 1.
         """
-        self._goto(k)
-        store = self.store
-        evaluate = self._expand if self.prev is not None else partial(_minor_det, self.entries)
+        evaluate = self._evaluator(k)
         every = list(combinations(range(self.cols), k))
         g, pivots = 0, [0] * self.rows
         for ri in combinations(range(self.rows), k):
-            slots = None if store is None else store.setdefault(ri, {})
+            slots = self._slots(k, ri)
             for ci in every:
-                x = evaluate(ri, ci)
-                if slots is not None:
-                    slots[ci] = x
+                x = slots.get(ci)
+                if x is None:
+                    x = slots[ci] = evaluate(ri, ci)
                 g = gcd(g, x)
                 for i in ri:
                     if i in ci:
                         pivots[i] = gcd(pivots[i], x)
             if g == 1 and pivots.count(1) == self.rows:
-                return 1, pivots
-        self.complete = True
+                break
         return g, pivots
+
+    def sequence(self) -> tuple[int, ...]:
+        """(D_0, ..., D_min); once D_k = 0 every larger minor vanishes, so the rest are 0."""
+        dk = [1]
+        for k in range(1, self.size + 1):
+            dk.append(0 if dk[-1] == 0 else self.all_gcd(k))
+        return tuple(dk)
+
+    def corner_sequence(self) -> tuple[int, ...]:
+        """(D_1*, ..., D_min*), each computed outright."""
+        return tuple(self.corner_gcd(k) for k in range(1, self.size + 1))
+
+    def profile(self) -> MinorGcdProfile:
+        """D_k, D_k* and the row and column GCDs.
+
+        Size by size, D_k* is scanned first and D_k continues from it, so
+        the minors of size k - 1 are in place before size k expands.  Once
+        D_k = 0 the dk scan stops; the dk_star values do not inherit zeros
+        that way and are each computed outright.
+        """
+        if self._profile is None:
+            dk, dk_star = [1], []
+            for k in range(1, self.size + 1):
+                dk_star.append(self.corner_gcd(k))
+                dk.append(0 if dk[-1] == 0 else self.all_gcd(k))
+            m = self.matrix
+            self._profile = MinorGcdProfile(
+                tuple(dk),
+                tuple(dk_star),
+                tuple(row_gcd(m, i) for i in range(m.rows)),
+                tuple(_column_gcd(m.entries, j) for j in range(m.cols)),
+            )
+        return self._profile
+
+    def pivot_sequences(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(D_0, ..., D_n) of a square matrix and, per index i, the
+        (D_1*, ..., D_n*) of the matrix with row and column i moved last.
+
+        Moving i last permutes rows and columns alike, so its corner minors
+        are the minors whose row and column sets both contain i.  Once
+        D_k = 0 every larger minor vanishes, so the remaining values are 0.
+        """
+        if self._pivots is None:
+            if not self.matrix.is_square:
+                raise ValueError(f"pivot sequences need a square matrix, got {self.rows}x{self.cols}")
+            dk, columns = [1], []
+            for k in range(1, self.rows + 1):
+                g, pivots = self.pivot_gcds(k) if dk[-1] else (0, [0] * self.rows)
+                dk.append(g)
+                columns.append(pivots)
+            self._pivots = (tuple(dk), tuple(zip(*columns)))
+        return self._pivots
 
 
 def minor_gcd_all(m: IntegerMatrix, k: int) -> int:
@@ -412,61 +475,23 @@ def minor_gcd_corner(m: IntegerMatrix, k: int) -> int:
 
 
 def minor_gcd_sequence(m: IntegerMatrix) -> tuple[int, ...]:
-    """(D_0, ..., D_min) of one matrix, all from one minor table.
-
-    Once D_k = 0 every larger minor vanishes too, so the scan stops there
-    and the remaining values are 0.
-    """
-    table = _MinorTable(m)
-    dk = [1]
-    for k in range(1, min(m.rows, m.cols) + 1):
-        dk.append(0 if dk[-1] == 0 else table.all_gcd(k))
-    return tuple(dk)
+    """(D_0, ..., D_min) of one matrix; see :meth:`_MinorTable.sequence`."""
+    return _MinorTable(m).sequence()
 
 
 def minor_gcd_corner_sequence(m: IntegerMatrix) -> tuple[int, ...]:
-    """(D_1*, ..., D_min*) of one matrix, all from one minor table."""
-    table = _MinorTable(m)
-    return tuple(table.corner_gcd(k) for k in range(1, min(m.rows, m.cols) + 1))
+    """(D_1*, ..., D_min*) of one matrix; see :meth:`_MinorTable.corner_sequence`."""
+    return _MinorTable(m).corner_sequence()
 
 
 def minor_gcd_pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(D_0, ..., D_n) of a square matrix and, per index i, the
-    (D_1*, ..., D_n*) of the matrix with row and column i moved last.
-
-    Moving i last permutes rows and columns alike, so its corner minors
-    are the minors whose row and column sets both contain i, and one
-    minor table serves every i.  Once D_k = 0 every larger minor
-    vanishes, so the remaining values are 0.
-    """
-    if not m.is_square:
-        raise ValueError(f"pivot sequences need a square matrix, got {m.rows}x{m.cols}")
-    table = _MinorTable(m)
-    dk, columns = [1], []
-    for k in range(1, m.rows + 1):
-        g, pivots = table.pivot_gcds(k) if dk[-1] else (0, [0] * m.rows)
-        dk.append(g)
-        columns.append(pivots)
-    return tuple(dk), tuple(zip(*columns))
+    """D_k and every index's D_k* of a square matrix; see :meth:`_MinorTable.pivot_sequences`."""
+    return _MinorTable(m).pivot_sequences()
 
 
 def minor_gcd_profile(m: IntegerMatrix) -> MinorGcdProfile:
-    """Compute dk, dk_star and the row/column GCDs of one matrix.
-
-    One minor table serves every size: D_k* is scanned first and D_k
-    continues from it.  Once D_k = 0 every larger minor vanishes too, so
-    the dk scan stops early; the dk_star values do not inherit zeros that
-    way and are each computed outright.
-    """
-    table = _MinorTable(m)
-    dk = [1]
-    dk_star = []
-    for k in range(1, min(m.rows, m.cols) + 1):
-        dk_star.append(table.corner_gcd(k))
-        dk.append(0 if dk[-1] == 0 else table.all_gcd(k))
-    row_gcds = tuple(row_gcd(m, i) for i in range(m.rows))
-    col_gcds = tuple(_column_gcd(m.entries, j) for j in range(m.cols))
-    return MinorGcdProfile(tuple(dk), tuple(dk_star), row_gcds, col_gcds)
+    """dk, dk_star and the row/column GCDs of one matrix; see :meth:`_MinorTable.profile`."""
+    return _MinorTable(m).profile()
 
 
 # ---------------------------------------------------------------------------

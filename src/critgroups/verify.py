@@ -23,18 +23,23 @@ when studying the generic case.
 The properties form one table of (id, applicability, comparisons) rows,
 evaluated by :meth:`_Property.report`.  Their inputs are computed once:
 a (graph, structure) pair becomes one validated :class:`_Instance` that
-holds L, SNF(L) and, per vertex, the reduction and everything derived
-from it; the last instance, the last minor-GCD profile and the last
-pivot scan (D_k and every vertex's D_k* of one L) are kept, so
-consecutive checks of the same pair or matrix share them.
+holds L, SNF(L), the minor table of L and, per vertex, the reduction and
+everything derived from it; the last instance and the last minor table
+are kept, so consecutive checks of the same pair or matrix share them.
 
-Determinantal divisors come from two engines, chosen by matrix.  The
-operation family takes D_k(L') as the prefix products of the Smith form
-of L' (D_k is the product of the first k invariant factors), and D_k(L)
-and D_k*(L) from one pivot scan of the minors of L.  THM_DKL_A, which
-equates D_k(L') with m^(k-1) D_{k+1}*(L), therefore still compares two
-independent computations: a wrong SNF(L') or a wrong scan of L breaks
-it.  The matrix family scans minors throughout.
+Determinantal divisors come from two engines.  Minor scans: one minor
+table per matrix (``linalg._MinorTable``) evaluates each of its minors at
+most once.  It gives the matrix family D_k(M) and D_k*(M), its profile,
+and the operation family D_k(L) and every vertex's D_k*(L), its pivot
+scan; when the matrix checks run on L, as ``verify --all-vertices``
+does, both read the one table of L.  Smith forms: D_k is the product of
+the first k invariant factors, which gives D_k(L') from SNF(L') and
+MINORFACTS_B the D_k of each deletion submatrix from its SNF.  So
+THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L), and
+MINORFACTS_B each compare a Smith form with a scan: a wrong value of
+either engine breaks them.  MINORFACTS_C scans its corner submatrix in a
+table of its own; reading those minors from the table of M would make
+it hold by construction.
 """
 
 from __future__ import annotations
@@ -59,13 +64,12 @@ from .graphs import (
 from .linalg import (
     IntegerMatrix,
     MinorGcdProfile,
+    SnfResult,
+    _MinorTable,
     chio_condense,
     desnanot_jacobi_residual,
     determinant,
     minor_gcd_corner_sequence,
-    minor_gcd_pivot_sequences,
-    minor_gcd_profile,
-    minor_gcd_sequence,
     row_gcd,
     smith_normal_form,
 )
@@ -143,25 +147,21 @@ def divides(a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # shared inputs
 
-_last_profile: tuple[IntegerMatrix, MinorGcdProfile] | None = None
-_last_pivots: tuple[IntegerMatrix, tuple] | None = None
+_last_table: _MinorTable | None = None
 _last_instance: _Instance | None = None
 
 
-def _profile(m: IntegerMatrix) -> MinorGcdProfile:
-    """``minor_gcd_profile(m)``, reused when the previous call had an equal matrix."""
-    global _last_profile
-    if _last_profile is None or _last_profile[0] != m:
-        _last_profile = (m, minor_gcd_profile(m))
-    return _last_profile[1]
+def _table(m: IntegerMatrix) -> _MinorTable:
+    """The minor table of m, reused when the previous call had an equal matrix."""
+    global _last_table
+    if _last_table is None or _last_table.matrix != m:
+        _last_table = _MinorTable(m)
+    return _last_table
 
 
-def _pivots(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """``minor_gcd_pivot_sequences(m)``, reused when the previous call had an equal matrix."""
-    global _last_pivots
-    if _last_pivots is None or _last_pivots[0] != m:
-        _last_pivots = (m, minor_gcd_pivot_sequences(m))
-    return _last_pivots[1]
+def _snf_dk(snf: SnfResult) -> tuple[int, ...]:
+    """(D_0, ..., D_min): the prefix products of the zero-padded Smith diagonal."""
+    return tuple(accumulate(snf.diag, mul, initial=1))
 
 
 def instance_of(g: Multigraph, s: ArithmeticalStructure) -> _Instance:
@@ -180,7 +180,8 @@ class _Instance:
 
     Building it validates the pair (``structure_matrix`` does).  SNF(L)
     serves every vertex: moving v last permutes rows and columns alike,
-    which leaves the Smith form unchanged.
+    which leaves the Smith form unchanged.  So does the minor table of L,
+    the same table the matrix checks used if they ran on L last.
     """
 
     def __init__(self, g: Multigraph, s: ArithmeticalStructure) -> None:
@@ -189,11 +190,12 @@ class _Instance:
         self.matrix = structure_matrix(g, s)
         self.snf = smith_normal_form(self.matrix)
         self.group = CriticalGroup.from_snf(self.snf, g.n)
+        self.table = _table(self.matrix)
         self._vertices: dict[int, _Vertex] = {}
 
     @property
     def profile(self) -> MinorGcdProfile:
-        return _profile(self.matrix)
+        return self.table.profile()
 
     def vertex(self, v: int) -> _Vertex:
         """The record of the reduction at v (0-based), built on first use."""
@@ -210,17 +212,17 @@ class _Vertex:
     (a_k = alpha[k-1]) and ``order``/``order_p`` the group orders, from
     SNF(L) and ``snf_p`` = SNF(L').  ``dkp``, D_k(L'), is the prefix
     products of ``snf_p``'s diagonal.  D_k(L) and D_k*(L with v last) come
-    from a scan of the minors of L (``base``), on first use; one scan
-    serves every vertex, since moving v last only permutes rows and
-    columns alike.  No SNF enters them, so THM_DKL_A..D compare values of
-    different engines.
+    from the pivot scan of the instance's minor table of L (``table``), on
+    first use; one scan serves every vertex, since moving v last only
+    permutes rows and columns alike.  No SNF enters them, so THM_DKL_A..D
+    compare values of different engines.
     """
 
     def __init__(self, inst: _Instance, v: int) -> None:
         g, s = inst.graph, inst.structure
         self.graph, self.structure, self.v = g, s, v
         self.n = g.n
-        self.base = inst.matrix
+        self.table = inst.table
         self.matrix = structure_matrix(g, s, last_vertex=v)
         self.m = s.d[v]
         self.g = row_gcd(self.matrix, self.n - 1)
@@ -252,17 +254,17 @@ class _Vertex:
     @cached_property
     def dk(self) -> tuple[int, ...]:
         """D_k(L), k = 0..n."""
-        return _pivots(self.base)[0]
+        return self.table.pivot_sequences()[0]
 
     @cached_property
     def dk_star(self) -> tuple[int, ...]:
         """D_k*(L) with v last, k = 1..n."""
-        return _pivots(self.base)[1][self.v]
+        return self.table.pivot_sequences()[1][self.v]
 
     @cached_property
     def dkp(self) -> tuple[int, ...]:
-        """D_k(L'), k = 0..n-1: the prefix products of SNF(L')'s zero-padded diagonal."""
-        return tuple(accumulate(self.snf_p.diag, mul, initial=1))
+        """D_k(L'), k = 0..n-1, from SNF(L')."""
+        return _snf_dk(self.snf_p)
 
 
 class _MatrixFacts:
@@ -271,7 +273,7 @@ class _MatrixFacts:
     def __init__(self, m: IntegerMatrix) -> None:
         self.m = m
         self.size = min(m.rows, m.cols)
-        self.profile = _profile(m)
+        self.profile = _table(m).profile()
         self.dk, self.dks = self.profile.dk, self.profile.dk_star
 
     @property
@@ -327,7 +329,10 @@ def _always(x) -> bool:
 
 
 def _deletion_comparisons(x: _MatrixFacts):
-    """MINORFACTS_B on the submatrices without the first row and without the first column."""
+    """MINORFACTS_B on the submatrices without the first row and without the first column.
+
+    D_k of M comes from the minor scan, D_k of each submatrix from its Smith form.
+    """
     m = x.m
     subs = []
     if m.rows >= 2:
@@ -335,7 +340,7 @@ def _deletion_comparisons(x: _MatrixFacts):
     if m.cols >= 2:
         subs.append(m.submatrix(range(m.rows), range(1, m.cols)))
     for which, sub in enumerate(subs):
-        sub_dk = minor_gcd_sequence(sub)
+        sub_dk = _snf_dk(smith_normal_form(sub))
         for k in range(1, min(sub.rows, sub.cols) + 1):
             yield _divides(x.dk[k], sub_dk[k], submatrix=which, k=k, dk=x.dk[k], sub_dk=sub_dk[k])
 
@@ -571,6 +576,8 @@ class FuzzConfig:
     target: str = "all"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.matrix_dims, (tuple, list)) or len(self.matrix_dims) != 2:
+            raise ValueError(f"matrix_dims must be a pair (lo, hi), got {self.matrix_dims!r}")
         lo, hi = self.matrix_dims
         for name, value in (("seed", self.seed), ("entry_bound", self.entry_bound),
                             ("case_count", self.case_count), ("each matrix_dims entry", lo),
@@ -585,6 +592,10 @@ class FuzzConfig:
             raise ValueError("case_count must be nonnegative")
         if self.target not in ("all", "minors", "alpha", "theorems"):
             raise ValueError(f"unknown target {self.target!r}")
+        queries = self.structure_queries
+        if queries is not None and (not isinstance(queries, (tuple, list))
+                                    or not all(isinstance(q, EnumerationQuery) for q in queries)):
+            raise ValueError(f"structure_queries must be None or a tuple of EnumerationQuery, got {queries!r}")
 
 
 @dataclass

@@ -371,10 +371,16 @@ def test_profile_evaluates_each_minor_once(simple7, monkeypatch):
 
     monkeypatch.setattr(linalg, "_minor_det", counting_det)
     monkeypatch.setattr(linalg._MinorTable, "_expand", counting_expand)
-    prof = minor_gcd_profile(m)
+    table = linalg._MinorTable(m)
+    prof = table.profile()
     # D_6 > 1: both size-6 scans run to the end, so they meet on the corner minors
     assert prof.dk[6] > 1
     assert evaluated
+    assert len(evaluated) == len(set(evaluated))
+    # the pivot scan reads the profile's minors and evaluates only the rest
+    profiled = len(evaluated)
+    table.pivot_sequences()
+    assert len(evaluated) > profiled
     assert len(evaluated) == len(set(evaluated))
 
 
@@ -408,6 +414,39 @@ def test_pivot_sequences_match_oracle(cap, monkeypatch):
             tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
             for i in range(n)
         ), rows
+
+
+def _structure_matrix_9x9() -> IntegerMatrix:
+    """A seeded structure, r_max 3, on a 9-vertex multigraph: every size of its matrix is stored."""
+    rng = random.Random(9)
+    mult = {(i, rng.randrange(i)): rng.randint(1, 3) for i in range(1, 9)}
+    for _ in range(3):
+        i, j = sorted(rng.sample(range(9), 2), reverse=True)
+        mult[i, j] = rng.randint(1, 3)
+    g = Multigraph.from_edges(9, [(i, j, c) for (i, j), c in mult.items()])
+    return structure_matrix(g, rng.choice(enumerate_structures(EnumerationQuery(g, 3))))
+
+
+def test_shared_table_matches_fresh_bareiss_tables(monkeypatch):
+    """profile() and pivot_sequences() of one table, in either order, against fresh tables.
+
+    A cap of 4 stores no size a larger one could expand from, so the fresh
+    tables evaluate every minor outright (Bareiss elimination from size 4),
+    independent of the expansion and of what another scan stored.
+    """
+    cases = [IntegerMatrix.from_rows(rows) for rows in _pivot_cases()]
+    cases.append(_structure_matrix_9x9())
+    assert all(store is not None for store in linalg._MinorTable(cases[-1]).stores[1:])
+    shared = []
+    for m in cases:
+        profile_first, pivots_first = linalg._MinorTable(m), linalg._MinorTable(m)
+        pivots = pivots_first.pivot_sequences()
+        shared.append([(profile_first.profile(), profile_first.pivot_sequences()),
+                       (pivots_first.profile(), pivots)])
+    monkeypatch.setattr(linalg, "_TABLE_CAP", 4)
+    for m, results in zip(cases, shared):
+        fresh = (linalg._MinorTable(m).profile(), linalg._MinorTable(m).pivot_sequences())
+        assert results == [fresh, fresh], m.entries
 
 
 def test_pivot_sequences_need_a_square_matrix():

@@ -271,6 +271,20 @@ def test_dkp_equals_the_minor_scan_of_the_reduced_matrix():
     assert cases > 3000
 
 
+def test_minorfacts_b_submatrix_dk_equals_the_minor_scan():
+    """D_k of each MINORFACTS_B deletion submatrix from its SNF against the scan of its minors."""
+    from critgroups.graphs import structure_matrix
+    from critgroups.linalg import smith_normal_form
+
+    matrices = [case_matrix(FuzzConfig(seed=seed), index) for seed in range(3) for index in range(300)]
+    matrices += [structure_matrix(g, s) for g in (Multigraph.path(5), Multigraph.cycle(5))
+                 for s in enumerate_structures(EnumerationQuery(g, 8))]
+    assert len(matrices) > 900
+    for m in matrices:
+        for sub in (m.submatrix(range(1, m.rows), range(m.cols)), m.submatrix(range(m.rows), range(1, m.cols))):
+            assert verify._snf_dk(smith_normal_form(sub)) == minor_gcd_sequence(sub), sub.entries
+
+
 def test_operation_family_at_eleven_vertices():
     """A size the minor scan of L' cannot serve in this suite; the order identity is the oracle.
 
@@ -358,6 +372,14 @@ def test_fuzz_config_validation():
     for dims in ((2.0, 3), (2, 3.5), (True, 3), (1, True), ("2", 3)):
         with pytest.raises(ValueError, match="each matrix_dims entry must be an int"):
             FuzzConfig(matrix_dims=dims)
+    for dims in (5, None, "23", (), (3,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="matrix_dims must be a pair"):
+            FuzzConfig(matrix_dims=dims)
+    query = EnumerationQuery(Multigraph.path(3), 4)
+    for queries in ([1], (query, 1), (None,), 5, query, "abc"):
+        with pytest.raises(ValueError, match="structure_queries must be None or a tuple"):
+            FuzzConfig(structure_queries=queries)
+    assert FuzzConfig(matrix_dims=[2, 4], structure_queries=[query]).structure_queries == [query]
 
 
 def test_case_matrix_is_deterministic_and_bounded():

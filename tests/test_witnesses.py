@@ -1,21 +1,23 @@
 """Failing-report witnesses of all 28 properties, replayed against golden values.
 
 Each scenario runs the public checks on a real input while one seam
-(``smith_normal_form``, ``minor_gcd_profile``, ``minor_gcd_pivot_sequences``,
-``minor_gcd_sequence``, ``minor_gcd_corner_sequence``, ``determinant``,
-``desnanot_jacobi_residual``, looked up in ``critgroups.verify``) returns
-one entry made inconsistent: plus one or zero.  The operation family reads
-D_k(L) and D_k*(L with v last) from ``minor_gcd_pivot_sequences``; its
-scenarios keep the ``profile.dk``/``profile.dk_star`` labels of those
-values.  It reads D_k(L') from the diagonal of SNF(L'), so its
-``snf(L').diag`` scenarios reach THM_DKL_A..D as well, and it has no
-``sequence`` scenarios: only the matrix family scans with
-``minor_gcd_sequence``.  Every report -- status, witness and
-``degenerate`` flag -- must equal the one in ``tests/golden/witnesses.json``,
-so the first failing comparison of each property keeps its k, its witness
-keys and its values.  To record the file again (only when a witness change
-is intended), run ``python tests/test_witnesses.py`` with ``src`` and
-``tests`` on the path.
+returns one entry made inconsistent: plus one or zero.  The seams are
+``smith_normal_form``, the ``profile`` and ``pivot_sequences`` methods
+of ``_MinorTable``, ``minor_gcd_corner_sequence``, ``determinant`` and
+``desnanot_jacobi_residual``, all looked up in ``critgroups.verify``.
+The matrix family reads D_k(M) and D_k*(M) from the profile of its minor
+table, and MINORFACTS_B the D_k of each deletion submatrix from its Smith
+form, which its ``snf(sub).diag`` scenarios reach.  The operation family
+reads D_k(L) and D_k*(L with v last) from the pivot scan of the table of
+L; its scenarios keep the ``profile.dk``/``profile.dk_star`` labels of
+those values.  It reads D_k(L') from the diagonal of SNF(L'), so its
+``snf(L').diag`` scenarios reach THM_DKL_A..D as well.  Every report --
+status, witness and ``degenerate`` flag -- must equal the one in
+``tests/golden/witnesses.json``, so the first failing comparison of each
+property keeps its k, its witness keys and its values.  To record the
+file again (only when a witness change is intended), run
+``python tests/test_witnesses.py`` with ``src`` and ``tests`` on the
+path.
 """
 
 from __future__ import annotations
@@ -79,24 +81,22 @@ def _at(values, index, kind):
     return tuple(values)
 
 
-def _profile_changes(size: int):
-    """(label, seam, change) for the D_k / D_k* values of a profile of given size."""
+def _matrix_changes(m: IntegerMatrix):
+    """(label, seam, change) for the values the matrix family reads from its seams."""
+    size = min(m.rows, m.cols)
     for i in range(size + 1):
-        yield f"profile.dk[{i}]", "minor_gcd_profile", (
+        yield f"profile.dk[{i}]", "_MinorTable.profile", (
             lambda p, kind, m, i=i: replace(p, dk=_at(p.dk, i, kind)))
     for i in range(size):
-        yield f"profile.dk_star[{i}]", "minor_gcd_profile", (
+        yield f"profile.dk_star[{i}]", "_MinorTable.profile", (
             lambda p, kind, m, i=i: replace(p, dk_star=_at(p.dk_star, i, kind)))
-    for i in range(size + 1):
-        yield f"sequence[{i}]", "minor_gcd_sequence", lambda s, kind, m, i=i: _at(s, i, kind)
-
-
-def _matrix_changes(m: IntegerMatrix):
-    size = min(m.rows, m.cols)
-    yield from _profile_changes(size)
-    yield "profile.row_gcds[-1]", "minor_gcd_profile", (
+    # both deletion submatrices at once; the longer Smith diagonal sets the range
+    for i in range(max(min(m.rows - 1, m.cols), min(m.rows, m.cols - 1))):
+        yield f"snf(sub).diag[{i}]", "smith_normal_form", (
+            lambda r, kind, m, i=i: replace(r, diag=_at(r.diag, i, kind)))
+    yield "profile.row_gcds[-1]", "_MinorTable.profile", (
         lambda p, kind, m: replace(p, row_gcds=_at(p.row_gcds, m.rows - 1, kind)))
-    yield "profile.col_gcds[-1]", "minor_gcd_profile", (
+    yield "profile.col_gcds[-1]", "_MinorTable.profile", (
         lambda p, kind, m: replace(p, col_gcds=_at(p.col_gcds, m.cols - 1, kind)))
     for i in range(size):
         yield f"corner_sequence[{i}]", "minor_gcd_corner_sequence", (
@@ -110,26 +110,37 @@ def _operation_changes(n: int):
                 lambda r, kind, m, i=i, rows=rows: r if m.rows != rows
                 else replace(r, diag=_at(r.diag, i, kind)))
     for i in range(n + 1):
-        yield f"profile.dk[{i}]", "minor_gcd_pivot_sequences", (
+        yield f"profile.dk[{i}]", "_MinorTable.pivot_sequences", (
             lambda p, kind, m, i=i: (_at(p[0], i, kind), p[1]))
     for i in range(n):
-        yield f"profile.dk_star[{i}]", "minor_gcd_pivot_sequences", (
+        yield f"profile.dk_star[{i}]", "_MinorTable.pivot_sequences", (
             lambda p, kind, m, i=i: (p[0], tuple(_at(star, i, kind) for star in p[1])))
 
 
+def _seam(seam: str):
+    """(owner, attribute name) of a seam: a name in ``verify`` or a method of a class there."""
+    *path, name = seam.split(".")
+    owner = verify
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, name
+
+
 def _patched(seam: str, fake, run):
-    """``run()`` while ``verify.<seam>`` is replaced by ``fake``, on fresh memos."""
-    real = getattr(verify, seam)
+    """``run()`` while the seam is replaced by ``fake``, on fresh memos."""
+    owner, name = _seam(seam)
+    real = getattr(owner, name)
     forget_memos()
-    setattr(verify, seam, fake)
+    setattr(owner, name, fake)
     try:
         return run()
     finally:
-        setattr(verify, seam, real)
+        setattr(owner, name, real)
 
 
 def _changed(seam: str, change, kind: str):
-    real = getattr(verify, seam)
+    """The seam's real result, changed; a method's receiver (the minor table) stands in for m."""
+    real = getattr(*_seam(seam))
     return lambda m, *rest: change(real(m, *rest), kind, m)
 
 

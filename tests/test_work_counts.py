@@ -12,13 +12,17 @@ from critgroups import cli, enumeration, graphs, jsonio, linalg, verify
 from critgroups.jsonio import fixture_path
 
 MODULES = (critgroups, linalg, graphs, verify, enumeration, jsonio, cli)
-COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "minor_gcd_profile",
-           "minor_gcd_pivot_sequences", "minor_gcd_sequence")
+COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "_MinorTable",
+           "minor_gcd_sequence")
 
 
 @pytest.fixture
 def calls(monkeypatch) -> dict[str, int]:
-    """Counts calls of COUNTED through every module attribute that holds them."""
+    """Counts calls of COUNTED through every module attribute that holds them.
+
+    ``_MinorTable`` counts the minor tables built: each one scans the
+    minors of one matrix.
+    """
     counts = dict.fromkeys(COUNTED, 0)
     for name in COUNTED:
         original = getattr(graphs, name, None) or getattr(linalg, name)
@@ -39,34 +43,34 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     # one validation at the boundary plus the self-check of each of the 7
-    # reductions; SNF(L) once and SNF(L') per vertex, which also gives
-    # D_k(L').  One profile of L, shared by both matrix checks, one scan of
-    # the minors of L that gives D_k(L) and every vertex its D_k*, and the
-    # scans of the two MINORFACTS_B submatrices of L
+    # reductions; SNF(L) once, SNF(L') per vertex, which also gives D_k(L'),
+    # and the SNFs of the two MINORFACTS_B submatrices of L.  One minor
+    # table of L serves the profile of both matrix checks and the pivot scan
+    # that gives D_k(L) and every vertex its D_k*; MINORFACTS_C scans its
+    # corner submatrix in a table of its own
     assert calls == {
         "validate_structure": 8,
-        "smith_normal_form": 8,
+        "smith_normal_form": 10,
         "star_clique_reduction": 7,
-        "minor_gcd_profile": 1,
-        "minor_gcd_pivot_sequences": 1,
-        "minor_gcd_sequence": 2,
+        "_MinorTable": 2,
+        "minor_gcd_sequence": 0,
     }
 
 
 def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     summary = verify.fuzz_campaign(verify.FuzzConfig(seed=0, case_count=100))
     assert summary.cases == 100
-    # per case: the case matrix's profile, shared by its two checks; one
-    # instance (validation, SNF(L), the pivot scan of L) and one reduction
-    # (self-check, SNF(L')); the profile of L with v last for the minors
-    # conjecture; the two MINORFACTS_B submatrix scans of the case matrix.
-    # Two cases draw the previous case's structure at another vertex and
-    # reuse its instance.
+    # per case: the case matrix's table, shared by its two checks, its
+    # MINORFACTS_C corner table and the SNFs of its two MINORFACTS_B
+    # submatrices; one instance (validation, SNF(L), the table of L) and
+    # one reduction (self-check, SNF(L')); the table of L with v last for
+    # the minors conjecture, which is the table of L when v is the last
+    # vertex (28 cases).  Two cases draw the previous case's structure at
+    # another vertex and reuse its instance.
     assert calls == {
         "validate_structure": 198,
-        "smith_normal_form": 198,
+        "smith_normal_form": 398,
         "star_clique_reduction": 100,
-        "minor_gcd_profile": 200,
-        "minor_gcd_pivot_sequences": 98,
-        "minor_gcd_sequence": 200,
+        "_MinorTable": 370,
+        "minor_gcd_sequence": 0,
     }
