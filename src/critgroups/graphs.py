@@ -56,7 +56,7 @@ class Multigraph:
             if row[i] != 0:
                 raise GraphError(f"loop at vertex {i}: multiplicity matrix diagonal must be zero")
             for j, x in enumerate(row):
-                if not isinstance(x, int):
+                if isinstance(x, bool) or not isinstance(x, int):
                     raise GraphError("multiplicities must be integers")
                 if x < 0:
                     raise GraphError(f"negative multiplicity at ({i}, {j})")
@@ -145,9 +145,9 @@ class ArithmeticalStructure:
     def __post_init__(self) -> None:
         if len(self.d) != len(self.r) or not self.d:
             raise StructureError("d and r must be nonempty vectors of equal length")
-        if any(not isinstance(x, int) or x < 0 for x in self.d):
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in self.d):
             raise StructureError("d entries must be nonnegative integers")
-        if any(not isinstance(x, int) or x < 1 for x in self.r):
+        if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in self.r):
             raise StructureError("r entries must be positive integers")
         if gcd(*self.r) != 1:
             raise StructureError(f"r must be primitive, gcd is {gcd(*self.r)}")
@@ -228,10 +228,10 @@ def validate_structure(g: Multigraph, d, r) -> StructureViolation | None:
     if len(d) != g.n or len(r) != g.n:
         raise ValueError(f"expected vectors of length {g.n}, got d:{len(d)} r:{len(r)}")
     for i, x in enumerate(r):
-        if not isinstance(x, int) or x < 1:
+        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
             return StructureViolation(i, f"r[{i}] = {x!r} is not a positive integer")
     for i, x in enumerate(d):
-        if not isinstance(x, int) or x < 0:
+        if isinstance(x, bool) or not isinstance(x, int) or x < 0:
             return StructureViolation(i, f"d[{i}] = {x!r} is not a nonnegative integer")
     for i in range(g.n):
         lhs = d[i] * r[i]

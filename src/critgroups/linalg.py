@@ -16,19 +16,24 @@ determinant of the submatrix selected by a row set and a column set of
 equal size; no cofactor sign is applied.
 
 Minor GCDs come from scans over explicitly evaluated minors.  The scans
-of one matrix share a minor table that keeps every size with at most
-2**15 minors, so no minor is evaluated twice.  A k x k minor with k >= 3
-is expanded along its last row from the stored (k-1) x (k-1) minors,
-missing ones filled the same way; it is computed by Bareiss elimination
-only when size k - 1 has too many minors to be stored.
+of one matrix share a minor table that evaluates a row set at a time: all
+the k x k minors on k rows in one Laplace step along the last row, from
+the stored (k-1) x (k-1) minors on the other k - 1 rows, and folds them
+into GCDs with one ``math.gcd`` call.  Sizes 1, 2, ... are stored while
+each has at most 2**16 minors (every size of a 10 x 10 matrix), so no
+stored minor is evaluated twice.  Above that, the first size is expanded
+one minor at a time from the last stored one, and larger ones are
+computed by Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import comb, gcd
+from operator import add, mul, sub
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ class IntegerMatrix:
             if len(row) != width:
                 raise ValueError("ragged rows: all rows must have equal length")
             for x in row:
-                if not isinstance(x, int):
+                if isinstance(x, bool) or not isinstance(x, int):
                     raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
 
     @classmethod
@@ -245,24 +250,61 @@ def _column_gcd(entries, j: int) -> int:
     return g
 
 
-_TABLE_CAP = 1 << 15  # a size with more minors than this is not stored
+_TABLE_CAP = 1 << 16  # a size with more minors than this is not stored, nor any larger one
+
+
+class _Plan(NamedTuple):
+    """How the k x k minors on one row set are laid out and expanded, for one column count.
+
+    The minors on a row set are in lexicographic column-set order, and
+    ``position`` maps each k-subset ci of the columns to its index there.
+    ``terms`` are the Laplace terms along the last row, one per position
+    t: (operation, the column ci[t] of every ci, the index of ci without
+    ci[t] among the (k-1)-subsets); the first is the positive one, t = k-1.
+    ``containing[c]`` lists the indices of the column sets that contain c.
+    The plan depends on the shape only, never on matrix entries.
+    """
+
+    position: dict[tuple[int, ...], int]
+    terms: list
+    containing: list[list[int]]
+
+
+@cache
+def _plan(cols: int, k: int) -> _Plan:
+    col_sets = list(combinations(range(cols), k))
+    containing: list[list[int]] = [[] for _ in range(cols)]
+    for j, ci in enumerate(col_sets):
+        for c in ci:
+            containing[c].append(j)
+    terms = []
+    if k > 1:
+        below = _plan(cols, k - 1).position
+        # column ci[t] pairs with the (k-1)-minor on ci without it, sign (-1)**(k-1+t)
+        for t in reversed(range(k)):
+            terms.append((add if (k - 1 - t) % 2 == 0 else sub,
+                          [ci[t] for ci in col_sets],
+                          [below[ci[:t] + ci[t + 1 :]] for ci in col_sets]))
+    return _Plan({ci: j for j, ci in enumerate(col_sets)}, terms, containing)
 
 
 class _MinorTable:
-    """The minors of one matrix, each evaluated at most once.
+    """The minors of one matrix, evaluated a row set at a time and each at most once.
 
-    Every size k with at most ``_TABLE_CAP`` minors is stored, for the
-    life of the table, as ``{row_set: {col_set: minor}}``.  A minor is
-    looked up first.  Otherwise a 1 x 1 or 2 x 2 minor is computed
-    outright, and a larger one is expanded along its last row from the
-    (k-1) x (k-1) minors, any missing one of which is filled the same
-    way; Bareiss elimination is used only when size k - 1 is not stored.
-    So the scans of one table share every minor they evaluate, whatever
-    their order and wherever an earlier scan stopped.
+    Sizes 1, 2, ... are stored as long as each has at most ``_TABLE_CAP``
+    minors (every size of a 10 x 10 matrix), for the life of the table, as
+    ``{row_set: [minor, ...]}`` with all the minors on a row set in
+    lexicographic column-set order.  A stored row set is evaluated in one
+    batch: size 1 is the matrix row, and size k expands along its last row
+    from the (k-1)-minors of the row set without it, evaluating that one
+    first if need be.  The first size that is not stored is evaluated one
+    minor at a time by the same expansion, larger ones by Bareiss
+    elimination; neither is kept.
 
-    At each size the corner scan (D_k*) comes first; the full scan (D_k)
-    then starts from its GCD and skips the corner minors.  Both scans are
-    lexicographic and stop as soon as the running GCD reaches 1.
+    Scans fold whole stored row sets into their GCDs, and minors of the
+    other sizes one at a time.  At each size the corner scan (D_k*) comes
+    first and the full scan (D_k) starts from its GCD.  Both are
+    lexicographic and stop once the running GCD reaches 1.
     ``profile()`` and ``pivot_sequences()`` are computed once and kept.
     """
 
@@ -272,77 +314,72 @@ class _MinorTable:
         self.rows = m.rows
         self.cols = m.cols
         self.size = min(m.rows, m.cols)
-        self.stores = [None] + [
-            {} if comb(self.rows, k) * comb(self.cols, k) <= _TABLE_CAP else None
-            for k in range(1, self.size + 1)
-        ]
-        self.terms: dict = {}
+        stored = 0
+        while stored < self.size and comb(self.rows, stored + 1) * comb(self.cols, stored + 1) <= _TABLE_CAP:
+            stored += 1
+        self.stored = stored
+        self.stores: list[dict] = [{} for _ in range(stored + 1)]
         self.corner_g: dict[int, int] = {}
         self._profile: MinorGcdProfile | None = None
         self._pivots: tuple | None = None
 
-    def _slots(self, k: int, ri: tuple[int, ...]) -> dict:
-        """The stored k x k minors on row set ri (a throwaway dict when size k is not stored)."""
+    def _row_set(self, k: int, ri: tuple[int, ...]) -> list[int]:
+        """Every k x k minor on row set ri, in lexicographic column-set order (k stored)."""
+        if k == 1:
+            return self.entries[ri[0]]
         store = self.stores[k]
-        if store is None:
-            return {}
-        slots = store.get(ri)
-        if slots is None:
-            slots = store[ri] = {}
-        return slots
+        minors = store.get(ri)
+        if minors is None:
+            minors = store[ri] = self._batch(k, ri)
+        return minors
+
+    def _batch(self, k: int, ri: tuple[int, ...]) -> list[int]:
+        """Evaluate the k x k minors on row set ri along its last row, all at once."""
+        row = self.entries[ri[-1]].__getitem__
+        below = self._row_set(k - 1, ri[:-1]).__getitem__
+        (_, cols, idx), *rest = _plan(self.cols, k).terms
+        minors = map(mul, map(row, cols), map(below, idx))
+        for op, cols, idx in rest:
+            minors = map(op, minors, map(mul, map(row, cols), map(below, idx)))
+        return list(minors)
+
+    def _laplace(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
+        """One minor of the first size that is not stored, from the stored size below."""
+        k = len(ci)
+        below = self._row_set(k - 1, ri[:-1])
+        position = _plan(self.cols, k - 1).position
+        row = self.entries[ri[-1]]
+        total = 0
+        for t, c in enumerate(ci):
+            x = row[c]
+            if x:
+                y = x * below[position[ci[:t] + ci[t + 1 :]]]
+                total += y if (k - 1 - t) % 2 == 0 else -y
+        return total
 
     def _evaluator(self, k: int):
-        """How a k x k minor that is not stored yet gets evaluated."""
-        if k > 2 and self.stores[k - 1] is not None:
-            return self._expand
+        """How a k x k minor of a size that is not stored gets evaluated."""
+        if k > 2 and k - 1 == self.stored:
+            return self._laplace
         return partial(_minor_det, self.entries)
 
-    def _expand(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
-        """The minor on row set ri and column set ci, from the (k-1) x (k-1) minors."""
-        terms = self.terms.get(ci)
-        if terms is None:
-            # Laplace terms along the last row: column ci[t] pairs with the
-            # (k-1)-minor on ci without ci[t], with sign (-1)**(k-1+t).
-            k = len(ci)
-            drops = [(ci[t], ci[:t] + ci[t + 1 :]) for t in range(k)]
-            terms = self.terms[ci] = (self.stores[k - 1], drops[(k - 1) % 2 :: 2], drops[k % 2 :: 2])
-        store, plus, minus = terms
-        row = self.entries[ri[-1]]
-        head = ri[:-1]
-        sub = store.get(head)
-        if sub is None:
-            sub = store[head] = {}
-        while True:
-            total = 0
-            try:
-                for c, rest in plus:
-                    x = row[c]
-                    if x:
-                        total += x * sub[rest]
-                for c, rest in minus:
-                    x = row[c]
-                    if x:
-                        total -= x * sub[rest]
-                return total
-            except KeyError:
-                # fill the missing (k-1)-minors that have a nonzero coefficient
-                evaluate = self._evaluator(len(head))
-                for c, rest in plus + minus:
-                    if row[c] and rest not in sub:
-                        sub[rest] = evaluate(head, rest)
-
     def _scan(self, k: int, pairs, g: int) -> int:
-        """Fold the k x k minors at (row set, column sets) pairs into g; stop at 1."""
+        """Fold the k x k minors at (row set, column sets) pairs into g, one at a time; stop at 1."""
         evaluate = self._evaluator(k)
         for ri, col_sets in pairs:
-            slots = self._slots(k, ri)
             for ci in col_sets:
-                x = slots.get(ci)
-                if x is None:
-                    x = slots[ci] = evaluate(ri, ci)
-                g = gcd(g, x)
+                g = gcd(g, evaluate(ri, ci))
                 if g == 1:
                     return 1
+        return g
+
+    def _fold(self, k: int, row_sets, g: int, picks=None) -> int:
+        """Fold the stored k x k minors on each row set (those at ``picks`` if given) into g; stop at 1."""
+        for ri in row_sets:
+            minors = self._row_set(k, ri)
+            g = gcd(g, *minors) if picks is None else gcd(g, *map(minors.__getitem__, picks))
+            if g == 1:
+                return 1
         return g
 
     def corner_gcd(self, k: int) -> int:
@@ -350,48 +387,58 @@ class _MinorTable:
         if k not in self.corner_g:
             last_r = self.rows - 1
             last_c = self.cols - 1
-            col_sets = [h + (last_c,) for h in combinations(range(last_c), k - 1)]
-            heads = combinations(range(last_r), k - 1)
-            self.corner_g[k] = self._scan(k, ((h + (last_r,), col_sets) for h in heads), 0)
+            row_sets = (h + (last_r,) for h in combinations(range(last_r), k - 1))
+            if k <= self.stored:
+                g = self._fold(k, row_sets, 0, _plan(self.cols, k).containing[last_c])
+            else:
+                col_sets = [h + (last_c,) for h in combinations(range(last_c), k - 1)]
+                g = self._scan(k, ((ri, col_sets) for ri in row_sets), 0)
+            self.corner_g[k] = g
         return self.corner_g[k]
 
     def all_gcd(self, k: int) -> int:
-        """D_k: GCD of all k x k minors, reusing this size's corner scan if it ran."""
+        """D_k: GCD of all k x k minors, starting from this size's corner GCD if it was scanned."""
         g = self.corner_g.get(k)
         if g == 1:
             return 1
-        every = list(combinations(range(self.cols), k))
         row_sets = combinations(range(self.rows), k)
+        if k <= self.stored:
+            return self._fold(k, row_sets, g or 0)
+        every = list(combinations(range(self.cols), k))
         if g is None:
-            pairs = ((ri, every) for ri in row_sets)
-            g = 0
-        else:
-            last_r = self.rows - 1
-            other = list(combinations(range(self.cols - 1), k))
-            pairs = ((ri, other if ri[-1] == last_r else every) for ri in row_sets)
-        return self._scan(k, pairs, g)
+            return self._scan(k, ((ri, every) for ri in row_sets), 0)
+        # the corner minors are in g already
+        last_r = self.rows - 1
+        other = list(combinations(range(self.cols - 1), k))
+        return self._scan(k, ((ri, other if ri[-1] == last_r else every) for ri in row_sets), g)
 
     def pivot_gcds(self, k: int) -> tuple[int, list[int]]:
         """D_k of a square matrix and, per index i, the GCD of the k x k
         minors whose row and column sets both contain i.
 
-        The scan is lexicographic and stops after the first row set at
-        which all of these GCDs are 1.
+        The scan is lexicographic, evaluates every minor on a row set
+        (one at a time above the stored sizes, without keeping them) and
+        stops after the first row set at which all of these GCDs are 1.
         """
-        evaluate = self._evaluator(k)
-        every = list(combinations(range(self.cols), k))
-        g, pivots = 0, [0] * self.rows
-        for ri in combinations(range(self.rows), k):
-            slots = self._slots(k, ri)
-            for ci in every:
-                x = slots.get(ci)
-                if x is None:
-                    x = slots[ci] = evaluate(ri, ci)
-                g = gcd(g, x)
-                for i in ri:
-                    if i in ci:
-                        pivots[i] = gcd(pivots[i], x)
-            if g == 1 and pivots.count(1) == self.rows:
+        n = self.rows
+        if k <= self.stored:
+            containing = _plan(self.cols, k).containing
+            row_set = partial(self._row_set, k)
+        else:
+            every = list(combinations(range(self.cols), k))
+            containing = [[j for j, ci in enumerate(every) if c in ci] for c in range(self.cols)]
+
+            def row_set(ri, evaluate=self._evaluator(k)):
+                return [evaluate(ri, ci) for ci in every]
+
+        g, pivots = 0, [0] * n
+        for ri in combinations(range(n), k):
+            minors = row_set(ri)
+            g = gcd(g, *minors)
+            for i in ri:
+                if pivots[i] != 1:
+                    pivots[i] = gcd(pivots[i], *map(minors.__getitem__, containing[i]))
+            if g == 1 and pivots.count(1) == n:
                 break
         return g, pivots
 

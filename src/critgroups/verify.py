@@ -34,12 +34,15 @@ and the operation family D_k(L) and every vertex's D_k*(L), its pivot
 scan; when the matrix checks run on L, as ``verify --all-vertices``
 does, both read the one table of L.  Smith forms: D_k is the product of
 the first k invariant factors, which gives D_k(L') from SNF(L') and
-MINORFACTS_B the D_k of each deletion submatrix from its SNF.  So
-THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L), and
-MINORFACTS_B each compare a Smith form with a scan: a wrong value of
-either engine breaks them.  MINORFACTS_C scans its corner submatrix in a
-table of its own; reading those minors from the table of M would make
-it hold by construction.
+MINORFACTS_B the D_k of each deletion submatrix from its SNF, and
+MINORFACTS_A the D_k(M) it divides into D_k*(M) from SNF(M).  So
+THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L), MINORFACTS_A
+and MINORFACTS_B each compare a Smith form with a scan: a wrong value of
+either engine breaks them.  (D_k and D_k* from one scan could not break
+MINORFACTS_A: the corner minors are a subset of all the minors.)  The
+other checks that read D_k(M) take it from the scan.  MINORFACTS_C
+scans its corner submatrix in a table of its own; reading those minors
+from the table of M would make it hold by construction.
 """
 
 from __future__ import annotations
@@ -268,7 +271,11 @@ class _Vertex:
 
 
 class _MatrixFacts:
-    """What the matrix family compares on one matrix."""
+    """What the matrix family compares on one matrix.
+
+    ``dk`` and ``dks`` come from the profile of the minor table of m;
+    ``snf_dk``, the D_k that MINORFACTS_A divides into D_k*, from SNF(m).
+    """
 
     def __init__(self, m: IntegerMatrix) -> None:
         self.m = m
@@ -283,6 +290,10 @@ class _MatrixFacts:
     @cached_property
     def det(self) -> int:
         return determinant(self.m)
+
+    @cached_property
+    def snf_dk(self) -> tuple[int, ...]:
+        return _snf_dk(smith_normal_form(self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +409,7 @@ def _square(x: _MatrixFacts) -> bool:
 
 _MATRIX_PROPERTIES = (
     _Property(PropertyId.MINORFACTS_A, _always, lambda x: (
-        _divides(x.dk[k], x.dks[k - 1], k=k, dk=x.dk[k], dk_star=x.dks[k - 1])
+        _divides(x.snf_dk[k], x.dks[k - 1], k=k, dk=x.snf_dk[k], dk_star=x.dks[k - 1])
         for k in range(1, x.size + 1))),
     _Property(PropertyId.MINORFACTS_B, lambda x: x.m.rows >= 2 or x.m.cols >= 2,
               _deletion_comparisons),

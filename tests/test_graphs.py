@@ -49,6 +49,12 @@ def test_multigraph_validation_errors():
         Multigraph(((0, 0), (0, 0)))  # two isolated vertices
 
 
+def test_multigraph_rejects_bool_multiplicities():
+    # True == 1, but a saved graph would read `true` and could not be loaded
+    with pytest.raises(GraphError, match="integers"):
+        Multigraph(((0, True), (True, 0)))
+
+
 def test_multigraph_is_a_value_error_subtype():
     # callers that only care about "bad input" can catch ValueError
     assert issubclass(GraphError, ValueError)
@@ -111,6 +117,19 @@ def test_structure_invariants():
         ArithmeticalStructure((1, 1), (0, 1))
     with pytest.raises(StructureError):
         ArithmeticalStructure((1, 1), (2, 4))  # gcd 2
+
+
+def test_structure_rejects_bool_entries():
+    with pytest.raises(StructureError, match="d entries"):
+        ArithmeticalStructure((True, 1), (1, 1))
+    with pytest.raises(StructureError, match="r entries"):
+        ArithmeticalStructure((1, 1), (1, True))
+    with pytest.raises(StructureError):
+        ArithmeticalStructure((True, 1), (1, True))
+    # the same vectors, unwrapped, are not a structure on the one-edge graph either
+    g = Multigraph(((0, 1), (1, 0)))
+    assert validate_structure(g, (1, 1), (1, True)).vertex == 1
+    assert validate_structure(g, (True, 1), (1, 1)).vertex == 0
 
 
 def test_validate_structure_accepts_the_examples(simple7, nonsimple_a, nonsimple_b):

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from critgroups.graphs import ArithmeticalStructure, GraphError, Multigraph, StructureError
+from critgroups.graphs import (
+    ArithmeticalStructure,
+    GraphError,
+    Multigraph,
+    StructureError,
+    validate_structure,
+)
 from critgroups.jsonio import (
     SAFE_INT_LIMIT,
     FileFormatError,
@@ -185,6 +191,19 @@ def test_save_and_load_files(tmp_path):
     assert gpath.read_text().endswith("\n")
     assert load_graph(gpath) == g
     assert load_structure(spath) == s
+
+
+def test_bool_pair_is_rejected_and_its_int_twin_round_trips(tmp_path):
+    """A bool entry would be saved as JSON `true`, which loading rejects; so construction rejects it."""
+    with pytest.raises(GraphError):
+        Multigraph(((0, True), (True, 0)))
+    with pytest.raises(StructureError):
+        ArithmeticalStructure((True, 1), (1, True))
+    g, s = Multigraph(((0, 1), (1, 0))), ArithmeticalStructure((1, 1), (1, 1))
+    assert validate_structure(g, s.d, s.r) is None
+    save_graph(tmp_path / "g.json", g)
+    save_structure(tmp_path / "s.json", s)
+    assert (load_graph(tmp_path / "g.json"), load_structure(tmp_path / "s.json")) == (g, s)
 
 
 def test_load_rejects_malformed_json(tmp_path):

@@ -113,6 +113,13 @@ def test_matrix_shape_validation():
         IntegerMatrix(((1.5,),))
 
 
+def test_matrix_rejects_bool_entries():
+    with pytest.raises(TypeError, match="got bool"):
+        IntegerMatrix(((True, 0), (0, 1)))
+    # from_rows converts, so a bool read from elsewhere becomes an int
+    assert IntegerMatrix.from_rows([[True, 0], [0, 1]]).entries == ((1, 0), (0, 1))
+
+
 def test_matrix_accessors():
     m = IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
@@ -323,65 +330,138 @@ def complete_scan_cases():
     return _complete_scan_cases()
 
 
-def _count_expansions(monkeypatch) -> list[int]:
-    expanded = [0]
-    expand = linalg._MinorTable._expand
+def _count_batches(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+    """The (size, row set) of every row set the tables evaluate in one batch, in order."""
+    batched = []
+    batch = linalg._MinorTable._batch
 
-    def counting(self, ri, ci):
-        expanded[0] += 1
-        return expand(self, ri, ci)
+    def counting(self, k, ri):
+        batched.append((k, ri))
+        return batch(self, k, ri)
 
-    monkeypatch.setattr(linalg._MinorTable, "_expand", counting)
-    return expanded
+    monkeypatch.setattr(linalg._MinorTable, "_batch", counting)
+    return batched
 
 
 def test_profile_matches_oracle_on_complete_scans(complete_scan_cases, monkeypatch):
-    expanded = _count_expansions(monkeypatch)
+    batched = _count_batches(monkeypatch)
     for m, dk, dk_star in complete_scan_cases:
         prof = minor_gcd_profile(m)
         assert (prof.dk, prof.dk_star) == (dk, dk_star), m.entries
-    assert expanded[0] > 0
+    assert batched
 
 
 def test_profile_without_stored_sizes_falls_back_to_bareiss(complete_scan_cases, monkeypatch):
-    # a cap of 4 stores no size that a larger one could expand from, which is
-    # the path every size of a large matrix takes
+    # a cap of 4 stores no size of a matrix with at least 3 rows and columns,
+    # which is the path every size past the stored ones of a large matrix takes
     monkeypatch.setattr(linalg, "_TABLE_CAP", 4)
-    expanded = _count_expansions(monkeypatch)
+    batched = _count_batches(monkeypatch)
     for m, dk, dk_star in complete_scan_cases:
         prof = minor_gcd_profile(m)
         assert (prof.dk, prof.dk_star) == (dk, dk_star), m.entries
-    assert expanded[0] == 0
+    assert not batched
+
+
+@pytest.mark.parametrize("cap", [linalg._TABLE_CAP, 225])
+def test_each_minor_equals_cofactor_expansion(cap, monkeypatch):
+    """Every minor the table evaluates, signed, against cofactor expansion.
+
+    GCD oracles cannot see an error that keeps the GCD, such as a wrong
+    sign.  At the default cap every size of these matrices is stored; at
+    a cap of 225 only sizes 1 and 2 of the 6 x 6 one are, and its size 3
+    is expanded one minor at a time.
+    """
+    monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
+    rng = random.Random(5)
+    for nr, nc in ((3, 4), (4, 4), (5, 6), (6, 5), (6, 6)):
+        rows = random_rows(rng, nr, nc, bound=5)
+        table = linalg._MinorTable(IntegerMatrix.from_rows(rows))
+        for k in range(1, min(table.stored + 1, table.size) + 1):
+            for ri in combinations(range(nr), k):
+                expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri])
+                            for ci in combinations(range(nc), k)]
+                if k <= table.stored:
+                    assert list(table._row_set(k, ri)) == expected, (rows, k, ri)
+                elif k > 2:
+                    assert [table._laplace(ri, ci) for ci in combinations(range(nc), k)] == expected
+
+
+def test_scans_past_the_stored_sizes_match_oracle(complete_scan_cases, monkeypatch):
+    """A cap that stores sizes 1 and 2 of a 6 x 6 matrix but not size 3.
+
+    Size 3 is then expanded one minor at a time from the stored size 2,
+    and larger sizes are computed by Bareiss elimination, the path every
+    matrix of 11 or more rows and columns takes.
+    """
+    monkeypatch.setattr(linalg, "_TABLE_CAP", 225)
+    laplace = linalg._MinorTable._laplace
+    expanded = []
+
+    def counting(self, ri, ci):
+        expanded.append((ri, ci))
+        return laplace(self, ri, ci)
+
+    monkeypatch.setattr(linalg._MinorTable, "_laplace", counting)
+    partial_cases = [case for case in complete_scan_cases if linalg._MinorTable(case[0]).stored == 2]
+    assert partial_cases
+    for m, dk, dk_star in partial_cases:
+        prof = minor_gcd_profile(m)
+        assert (prof.dk, prof.dk_star) == (dk, dk_star), m.entries
+        if m.is_square:
+            rows = [list(r) for r in m.entries]
+            assert minor_gcd_pivot_sequences(m) == (dk, tuple(
+                tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, m.rows + 1))
+                for i in range(m.rows))), rows
+    assert expanded
 
 
 def test_profile_evaluates_each_minor_once(simple7, monkeypatch):
     g, s = simple7
     m = structure_matrix(g, s)
-    evaluated = []
+    batched = _count_batches(monkeypatch)
+    single = []
     det = linalg._minor_det
-    expand = linalg._MinorTable._expand
 
     def counting_det(entries, ri, ci):
-        evaluated.append((ri, ci))
+        single.append((ri, ci))
         return det(entries, ri, ci)
 
-    def counting_expand(self, ri, ci):
-        evaluated.append((ri, ci))
-        return expand(self, ri, ci)
-
     monkeypatch.setattr(linalg, "_minor_det", counting_det)
-    monkeypatch.setattr(linalg._MinorTable, "_expand", counting_expand)
     table = linalg._MinorTable(m)
+    assert table.stored == 7
     prof = table.profile()
-    # D_6 > 1: both size-6 scans run to the end, so they meet on the corner minors
+    # D_6 > 1: both size-6 scans run to the end, so they meet on the corner row sets
     assert prof.dk[6] > 1
-    assert evaluated
-    assert len(evaluated) == len(set(evaluated))
-    # the pivot scan reads the profile's minors and evaluates only the rest
-    profiled = len(evaluated)
+    assert batched
+    assert len(batched) == len(set(batched))
+    # the pivot scan reads the profile's row sets and batches only the rest
+    profiled = len(batched)
     table.pivot_sequences()
-    assert len(evaluated) > profiled
-    assert len(evaluated) == len(set(evaluated))
+    assert len(batched) > profiled
+    assert len(batched) == len(set(batched))
+    # every size is stored, so no minor is evaluated on its own
+    assert not single
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_complete_graph_laplacian_closed_forms(n):
+    """D_k and every D_k* of the Laplacian of K_n, against closed forms that use no engine.
+
+    L = nI - J has D_k = n^(k-1) below full size, as K(K_n) = (Z/n)^(n-2),
+    and D_n = 0.  The minors whose rows and columns both contain index i
+    give D_1* = n - 1 (the diagonal entry) and n^(k-1) above.  Every size
+    of these matrices is stored, so this reaches the batched expansion at
+    the largest stored sizes.
+    """
+    m = IntegerMatrix.from_rows([[n - 1 if i == j else -1 for j in range(n)] for i in range(n)])
+    table = linalg._MinorTable(m)
+    assert table.stored == n
+    dk = (1, *(n ** (k - 1) for k in range(1, n)), 0)
+    star = (n - 1, *(n ** (k - 1) for k in range(2, n)), 0)
+    prof = table.profile()
+    assert (prof.dk, prof.dk_star) == (dk, star)
+    assert table.pivot_sequences() == (dk, (star,) * n)
+    assert minor_gcd_pivot_sequences(m) == (dk, (star,) * n)
 
 
 def _move_last(rows: list[list[int]], i: int) -> list[list[int]]:
@@ -404,7 +484,7 @@ def _pivot_cases() -> list[list[list[int]]]:
 
 @pytest.mark.parametrize("cap", [linalg._TABLE_CAP, 4])
 def test_pivot_sequences_match_oracle(cap, monkeypatch):
-    # a cap of 4 stores no size a larger one could expand from
+    # a cap of 4 stores no size of a matrix with 3 or more rows and columns
     monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
     for rows in _pivot_cases():
         n = len(rows)
@@ -430,20 +510,21 @@ def _structure_matrix_9x9() -> IntegerMatrix:
 def test_shared_table_matches_fresh_bareiss_tables(monkeypatch):
     """profile() and pivot_sequences() of one table, in either order, against fresh tables.
 
-    A cap of 4 stores no size a larger one could expand from, so the fresh
-    tables evaluate every minor outright (Bareiss elimination from size 4),
-    independent of the expansion and of what another scan stored.
+    A cap of 3 stores no size of a matrix with at least 2 rows and columns,
+    so the fresh tables batch no row set and evaluate every minor outright
+    (Bareiss elimination from size 4), independent of the expansion and of
+    what another scan stored.
     """
     cases = [IntegerMatrix.from_rows(rows) for rows in _pivot_cases()]
     cases.append(_structure_matrix_9x9())
-    assert all(store is not None for store in linalg._MinorTable(cases[-1]).stores[1:])
+    assert linalg._MinorTable(cases[-1]).stored == 9
     shared = []
     for m in cases:
         profile_first, pivots_first = linalg._MinorTable(m), linalg._MinorTable(m)
         pivots = pivots_first.pivot_sequences()
         shared.append([(profile_first.profile(), profile_first.pivot_sequences()),
                        (pivots_first.profile(), pivots)])
-    monkeypatch.setattr(linalg, "_TABLE_CAP", 4)
+    monkeypatch.setattr(linalg, "_TABLE_CAP", 3)
     for m, results in zip(cases, shared):
         fresh = (linalg._MinorTable(m).profile(), linalg._MinorTable(m).pivot_sequences())
         assert results == [fresh, fresh], m.entries

@@ -42,6 +42,8 @@ from critgroups.verify import (
     verify_operation_theorems,
 )
 
+from conftest import forget_memos
+
 L1 = IntegerMatrix.from_rows(
     [
         [8, -1, -1, 0],
@@ -283,6 +285,34 @@ def test_minorfacts_b_submatrix_dk_equals_the_minor_scan():
     for m in matrices:
         for sub in (m.submatrix(range(1, m.rows), range(m.cols)), m.submatrix(range(m.rows), range(1, m.cols))):
             assert verify._snf_dk(smith_normal_form(sub)) == minor_gcd_sequence(sub), sub.entries
+
+
+def test_minorfacts_a_compares_the_smith_form_with_the_scan(monkeypatch):
+    """MINORFACTS_A divides D_k from SNF(M) into D_k* from the scan, so a wrong value of either fails it.
+
+    D_k and D_k* of one scan could not: the corner minors are among all the
+    minors, so the first GCD always divides the second.
+    """
+    import critgroups.linalg as linalg
+
+    m = IntegerMatrix.from_rows([[2, 4, 6], [6, 2, 4], [4, 6, 8]])
+    assert by_id(verify_minor_properties(m))[PropertyId.MINORFACTS_A].status == PASS
+    real_snf, real_batch = verify.smith_normal_form, linalg._MinorTable._batch
+
+    def wrong_snf(x):
+        snf = real_snf(x)
+        return snf if x != m else verify.SnfResult((snf.diag[0] + 1, *snf.diag[1:]), snf.rank)
+
+    def wrong_corner_minors(table, k, ri):
+        return [x + (ri[-1] == table.rows - 1) for x in real_batch(table, k, ri)]
+
+    for seam, owner, name, fake in (("snf", verify, "smith_normal_form", wrong_snf),
+                                    ("scan", linalg._MinorTable, "_batch", wrong_corner_minors)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fake)
+            forget_memos()
+            report = by_id(verify_minor_properties(m))[PropertyId.MINORFACTS_A]
+        assert report.status == FAIL, seam
 
 
 def test_operation_family_at_eleven_vertices():

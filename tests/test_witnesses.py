@@ -6,10 +6,11 @@ returns one entry made inconsistent: plus one or zero.  The seams are
 of ``_MinorTable``, ``minor_gcd_corner_sequence``, ``determinant`` and
 ``desnanot_jacobi_residual``, all looked up in ``critgroups.verify``.
 The matrix family reads D_k(M) and D_k*(M) from the profile of its minor
-table, and MINORFACTS_B the D_k of each deletion submatrix from its Smith
-form, which its ``snf(sub).diag`` scenarios reach.  The operation family
-reads D_k(L) and D_k*(L with v last) from the pivot scan of the table of
-L; its scenarios keep the ``profile.dk``/``profile.dk_star`` labels of
+table, MINORFACTS_B the D_k of each deletion submatrix from its Smith
+form, which its ``snf(sub).diag`` scenarios reach, and MINORFACTS_A the
+D_k(M) it divides into D_k*(M) from SNF(M), which its ``snf(M).diag``
+scenarios reach.  The operation family reads D_k(L) and D_k*(L with v
+last) from the pivot scan of the table of L; its scenarios keep the ``profile.dk``/``profile.dk_star`` labels of
 those values.  It reads D_k(L') from the diagonal of SNF(L'), so its
 ``snf(L').diag`` scenarios reach THM_DKL_A..D as well.  Every report --
 status, witness and ``degenerate`` flag -- must equal the one in
@@ -93,7 +94,10 @@ def _matrix_changes(m: IntegerMatrix):
     # both deletion submatrices at once; the longer Smith diagonal sets the range
     for i in range(max(min(m.rows - 1, m.cols), min(m.rows, m.cols - 1))):
         yield f"snf(sub).diag[{i}]", "smith_normal_form", (
-            lambda r, kind, m, i=i: replace(r, diag=_at(r.diag, i, kind)))
+            lambda r, kind, x, i=i, m=m: r if x == m else replace(r, diag=_at(r.diag, i, kind)))
+    for i in range(size):
+        yield f"snf(M).diag[{i}]", "smith_normal_form", (
+            lambda r, kind, x, i=i, m=m: r if x != m else replace(r, diag=_at(r.diag, i, kind)))
     yield "profile.row_gcds[-1]", "_MinorTable.profile", (
         lambda p, kind, m: replace(p, row_gcds=_at(p.row_gcds, m.rows - 1, kind)))
     yield "profile.col_gcds[-1]", "_MinorTable.profile", (

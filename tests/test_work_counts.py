@@ -44,13 +44,14 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
         assert cli.main(argv) == 0
     # one validation at the boundary plus the self-check of each of the 7
     # reductions; SNF(L) once, SNF(L') per vertex, which also gives D_k(L'),
-    # and the SNFs of the two MINORFACTS_B submatrices of L.  One minor
+    # the SNFs of the two MINORFACTS_B submatrices of L and the SNF of L
+    # that gives MINORFACTS_A its D_k, apart from the instance's.  One minor
     # table of L serves the profile of both matrix checks and the pivot scan
     # that gives D_k(L) and every vertex its D_k*; MINORFACTS_C scans its
     # corner submatrix in a table of its own
     assert calls == {
         "validate_structure": 8,
-        "smith_normal_form": 10,
+        "smith_normal_form": 11,
         "star_clique_reduction": 7,
         "_MinorTable": 2,
         "minor_gcd_sequence": 0,
@@ -61,15 +62,15 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     summary = verify.fuzz_campaign(verify.FuzzConfig(seed=0, case_count=100))
     assert summary.cases == 100
     # per case: the case matrix's table, shared by its two checks, its
-    # MINORFACTS_C corner table and the SNFs of its two MINORFACTS_B
-    # submatrices; one instance (validation, SNF(L), the table of L) and
-    # one reduction (self-check, SNF(L')); the table of L with v last for
-    # the minors conjecture, which is the table of L when v is the last
-    # vertex (28 cases).  Two cases draw the previous case's structure at
-    # another vertex and reuse its instance.
+    # MINORFACTS_C corner table, its SNF for MINORFACTS_A and the SNFs of
+    # its two MINORFACTS_B submatrices; one instance (validation, SNF(L),
+    # the table of L) and one reduction (self-check, SNF(L')); the table
+    # of L with v last for the minors conjecture, which is the table of L
+    # when v is the last vertex (28 cases).  Two cases draw the previous
+    # case's structure at another vertex and reuse its instance.
     assert calls == {
         "validate_structure": 198,
-        "smith_normal_form": 398,
+        "smith_normal_form": 498,
         "star_clique_reduction": 100,
         "_MinorTable": 370,
         "minor_gcd_sequence": 0,
