@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import itemgetter
 
 from .linalg import IntegerMatrix, SnfResult, chio_condense, smith_normal_form
 
@@ -310,6 +311,9 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
         d'[i]       = d[i] * d[v] - mult[i][v] ** 2
         r'[i]       = r[i] / gcd of surviving r entries
 
+    mult is symmetric, so mult'[i][j] is computed once, for i < j, and
+    mirrored: half the big-int products of the multiplicities.
+
     The output is again a valid arithmetical structure; its matrix L' is
     exactly the condensation of L on the corner entry d[v] (see
     :func:`operation_matrix_consistency`).
@@ -320,21 +324,20 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
     if not 0 <= v < n:
         raise IndexError(f"vertex {v} out of range 0..{n - 1}")
     _ensure_valid(g, s)
-    mult = g.mult
     dv = s.d[v]
     others = [i for i in range(n) if i != v]
-    new_mult = tuple(
-        tuple(
-            0 if i == j else mult[i][j] * dv + mult[i][v] * mult[v][j]
-            for j in others
-        )
-        for i in others
-    )
-    new_d = tuple(s.d[i] * dv - mult[i][v] * mult[v][i] for i in others)
+    star = g.mult[v]  # star[i] = mult[i][v], as mult is symmetric
+    new_mult: list[tuple[int, ...]] = []
+    for a, i in enumerate(others):
+        row, c = g.mult[i], star[i]
+        # below the diagonal: column a of the rows before; above it: computed here, once
+        upper = [row[j] * dv + c * star[j] for j in others[a + 1 :]]
+        new_mult.append((*map(itemgetter(a), new_mult), 0, *upper))
+    new_d = tuple(s.d[i] * dv - star[i] * star[i] for i in others)
     divisor = gcd(*(s.r[i] for i in others))
     new_r = tuple(s.r[i] // divisor for i in others)
     try:
-        new_graph = Multigraph(new_mult)
+        new_graph = Multigraph(tuple(new_mult))
     except GraphError as exc:
         raise GraphError(
             f"reduction at vertex {v} produced an invalid graph ({exc}); "

@@ -23,16 +23,21 @@ into GCDs with one ``math.gcd`` call.  Sizes 1, 2, ... are stored while
 each has at most 2**16 minors (every size of a 10 x 10 matrix), so no
 stored minor is evaluated twice.  Above that, the first size is expanded
 one minor at a time from the last stored one, and larger ones are
-computed by Bareiss elimination.
+computed by Bareiss elimination.  For a symmetric matrix of 5 or more
+rows, such as a structure matrix, the table evaluates each pair of
+transposed minors once: row set R keeps the minors on column sets
+C >= R, and C >= R implies C - {c} >= R[:-1], so the expansion reads
+only kept minors.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, islice, starmap
 from math import comb, gcd
-from operator import add, mul, sub
+from operator import add, eq, mul, sub
 from typing import NamedTuple
 
 
@@ -241,27 +246,34 @@ def row_gcd(m: IntegerMatrix, i: int) -> int:
     return g
 
 
-def _column_gcd(entries, j: int) -> int:
-    g = 0
-    for row in entries:
-        g = gcd(g, row[j])
-        if g == 1:
-            break
-    return g
-
-
 _TABLE_CAP = 1 << 16  # a size with more minors than this is not stored, nor any larger one
+_SYMMETRIC_MIN_ROWS = 5  # smaller symmetric matrices keep every column set (see _MinorTable)
+
+
+def _layout(cols: int, k: int) -> tuple[list, dict, list]:
+    """The k-subsets of the columns in the order of a row set's minors, and two indexes of them.
+
+    Size 1 is in column order (its minors are the matrix row itself).
+    Larger sizes are in descending lexicographic order, so the column sets
+    C >= R of a k-subset R are the first ``position[R] + 1``.
+    ``containing[c]`` lists, ascending, the positions of the column sets
+    that contain c.
+    """
+    col_sets = list(combinations(range(cols), k))[:: -1 if k > 1 else 1]
+    containing: list[list[int]] = [[] for _ in range(cols)]
+    for j, ci in enumerate(col_sets):
+        for c in ci:
+            containing[c].append(j)
+    return col_sets, {ci: j for j, ci in enumerate(col_sets)}, containing
 
 
 class _Plan(NamedTuple):
     """How the k x k minors on one row set are laid out and expanded, for one column count.
 
-    The minors on a row set are in lexicographic column-set order, and
-    ``position`` maps each k-subset ci of the columns to its index there.
+    ``position`` and ``containing`` are those of :func:`_layout`.
     ``terms`` are the Laplace terms along the last row, one per position
-    t: (operation, the column ci[t] of every ci, the index of ci without
+    t: (operation, the column ci[t] of every ci, the position of ci without
     ci[t] among the (k-1)-subsets); the first is the positive one, t = k-1.
-    ``containing[c]`` lists the indices of the column sets that contain c.
     The plan depends on the shape only, never on matrix entries.
     """
 
@@ -272,11 +284,7 @@ class _Plan(NamedTuple):
 
 @cache
 def _plan(cols: int, k: int) -> _Plan:
-    col_sets = list(combinations(range(cols), k))
-    containing: list[list[int]] = [[] for _ in range(cols)]
-    for j, ci in enumerate(col_sets):
-        for c in ci:
-            containing[c].append(j)
+    col_sets, position, containing = _layout(cols, k)
     terms = []
     if k > 1:
         below = _plan(cols, k - 1).position
@@ -285,7 +293,7 @@ def _plan(cols: int, k: int) -> _Plan:
             terms.append((add if (k - 1 - t) % 2 == 0 else sub,
                           [ci[t] for ci in col_sets],
                           [below[ci[:t] + ci[t + 1 :]] for ci in col_sets]))
-    return _Plan({ci: j for j, ci in enumerate(col_sets)}, terms, containing)
+    return _Plan(position, terms, containing)
 
 
 class _MinorTable:
@@ -293,18 +301,39 @@ class _MinorTable:
 
     Sizes 1, 2, ... are stored as long as each has at most ``_TABLE_CAP``
     minors (every size of a 10 x 10 matrix), for the life of the table, as
-    ``{row_set: [minor, ...]}`` with all the minors on a row set in
-    lexicographic column-set order.  A stored row set is evaluated in one
-    batch: size 1 is the matrix row, and size k expands along its last row
-    from the (k-1)-minors of the row set without it, evaluating that one
-    first if need be.  The first size that is not stored is evaluated one
-    minor at a time by the same expansion, larger ones by Bareiss
-    elimination; neither is kept.
+    ``{row_set: [minor, ...]}`` with the minors on a row set in the order
+    of :func:`_layout`.  A stored row set is evaluated in one batch: size 1
+    is the matrix row, and size k expands along its last row from the
+    (k-1)-minors of the row set without it, evaluating that one first if
+    need be.  The first size that is not stored is evaluated one minor at
+    a time by the same expansion, larger ones by Bareiss elimination;
+    neither is kept.
+
+    A symmetric matrix (equal to its transpose, as every structure matrix
+    is) has the minor on rows C and columns R equal to the one on rows R
+    and columns C, as det A^T = det A.  So above size 1 a row set R keeps
+    only the minors on column sets C >= R (lexicographic), the first
+    ``position[R] + 1`` of its list, and a complete scan evaluates
+    C(n, k) (C(n, k) + 1) / 2 minors of size k instead of C(n, k)**2.
+    The expansion needs no others, because C >= R implies
+    C - {c} >= R[:-1] for every c in C.  Dropping c_t keeps the first
+    difference of C and R if it lies before place t.  Otherwise the places
+    before t agree, c_t >= r_t, and c_{t+1} > r_t moves into place t,
+    unless t is the last place, where what is left is R[:-1].  The sets
+    of minors the scans fold (all of them, the corner ones, and those
+    whose row and column sets both contain index i) are each closed under
+    transposition, so the scans fold the kept minors only, and above the
+    stored sizes evaluate only C >= R (``_laplace`` transposes a request
+    with C < R).  Any other matrix keeps every column set; the code is
+    the same.  So does a symmetric matrix with fewer than
+    ``_SYMMETRIC_MIN_ROWS`` rows: its row sets hold at most 6 minors, and
+    the position lookup per batch and the bisection per picked fold cost
+    more than the minors the halving saves.
 
     Scans fold whole stored row sets into their GCDs, and minors of the
     other sizes one at a time.  At each size the corner scan (D_k*) comes
-    first and the full scan (D_k) starts from its GCD.  Both are
-    lexicographic and stop once the running GCD reaches 1.
+    first and the full scan (D_k) starts from its GCD.  Both run over row
+    sets in lexicographic order and stop once the running GCD reaches 1.
     ``profile()`` and ``pivot_sequences()`` are computed once and kept.
     """
 
@@ -314,6 +343,7 @@ class _MinorTable:
         self.rows = m.rows
         self.cols = m.cols
         self.size = min(m.rows, m.cols)
+        self.symmetric = self.rows >= _SYMMETRIC_MIN_ROWS and all(map(eq, m.entries, zip(*m.entries)))
         stored = 0
         while stored < self.size and comb(self.rows, stored + 1) * comb(self.cols, stored + 1) <= _TABLE_CAP:
             stored += 1
@@ -324,7 +354,7 @@ class _MinorTable:
         self._pivots: tuple | None = None
 
     def _row_set(self, k: int, ri: tuple[int, ...]) -> list[int]:
-        """Every k x k minor on row set ri, in lexicographic column-set order (k stored)."""
+        """The kept k x k minors on row set ri, in the order of :func:`_layout` (k stored)."""
         if k == 1:
             return self.entries[ri[0]]
         store = self.stores[k]
@@ -334,10 +364,14 @@ class _MinorTable:
         return minors
 
     def _batch(self, k: int, ri: tuple[int, ...]) -> list[int]:
-        """Evaluate the k x k minors on row set ri along its last row, all at once."""
+        """Evaluate the kept k x k minors on row set ri along its last row, all at once."""
+        plan = _plan(self.cols, k)
         row = self.entries[ri[-1]].__getitem__
         below = self._row_set(k - 1, ri[:-1]).__getitem__
-        (_, cols, idx), *rest = _plan(self.cols, k).terms
+        (_, cols, idx), *rest = plan.terms
+        if self.symmetric:
+            # the first term's columns end where the kept minors end, and every later map with them
+            cols = cols[: plan.position[ri] + 1]
         minors = map(mul, map(row, cols), map(below, idx))
         for op, cols, idx in rest:
             minors = map(op, minors, map(mul, map(row, cols), map(below, idx)))
@@ -345,6 +379,8 @@ class _MinorTable:
 
     def _laplace(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
         """One minor of the first size that is not stored, from the stored size below."""
+        if self.symmetric and ci < ri:
+            ri, ci = ci, ri  # the transposed minor is equal, and its row set keeps what it reads
         k = len(ci)
         below = self._row_set(k - 1, ri[:-1])
         position = _plan(self.cols, k - 1).position
@@ -364,20 +400,27 @@ class _MinorTable:
         return partial(_minor_det, self.entries)
 
     def _scan(self, k: int, pairs, g: int) -> int:
-        """Fold the k x k minors at (row set, column sets) pairs into g, one at a time; stop at 1."""
+        """Fold the k x k minors at (row set, column sets) pairs into g, one at a time; stop at 1.
+
+        The column sets are in lexicographic order, and a symmetric matrix
+        skips those below the row set.
+        """
         evaluate = self._evaluator(k)
         for ri, col_sets in pairs:
-            for ci in col_sets:
+            for ci in islice(col_sets, bisect_left(col_sets, ri) if self.symmetric else 0, None):
                 g = gcd(g, evaluate(ri, ci))
                 if g == 1:
                     return 1
         return g
 
     def _fold(self, k: int, row_sets, g: int, picks=None) -> int:
-        """Fold the stored k x k minors on each row set (those at ``picks`` if given) into g; stop at 1."""
+        """Fold the kept k x k minors on each row set (those at ``picks`` if given) into g; stop at 1."""
+        symmetric = self.symmetric
         for ri in row_sets:
             minors = self._row_set(k, ri)
-            g = gcd(g, *minors) if picks is None else gcd(g, *map(minors.__getitem__, picks))
+            if picks is not None:
+                minors = map(minors.__getitem__, picks[: bisect_left(picks, len(minors))] if symmetric else picks)
+            g = gcd(g, *minors)
             if g == 1:
                 return 1
         return g
@@ -416,7 +459,7 @@ class _MinorTable:
         """D_k of a square matrix and, per index i, the GCD of the k x k
         minors whose row and column sets both contain i.
 
-        The scan is lexicographic, evaluates every minor on a row set
+        The scan is lexicographic, evaluates every kept minor on a row set
         (one at a time above the stored sizes, without keeping them) and
         stops after the first row set at which all of these GCDs are 1.
         """
@@ -425,19 +468,23 @@ class _MinorTable:
             containing = _plan(self.cols, k).containing
             row_set = partial(self._row_set, k)
         else:
-            every = list(combinations(range(self.cols), k))
-            containing = [[j for j, ci in enumerate(every) if c in ci] for c in range(self.cols)]
+            col_sets, position, containing = _layout(self.cols, k)
 
             def row_set(ri, evaluate=self._evaluator(k)):
-                return [evaluate(ri, ci) for ci in every]
+                return [evaluate(ri, ci) for ci in col_sets[: position[ri] + 1 if self.symmetric else None]]
 
         g, pivots = 0, [0] * n
+        symmetric = self.symmetric
         for ri in combinations(range(n), k):
             minors = row_set(ri)
             g = gcd(g, *minors)
+            at = minors.__getitem__
             for i in ri:
                 if pivots[i] != 1:
-                    pivots[i] = gcd(pivots[i], *map(minors.__getitem__, containing[i]))
+                    picks = containing[i]
+                    if symmetric:
+                        picks = picks[: bisect_left(picks, len(minors))]
+                    pivots[i] = gcd(pivots[i], *map(at, picks))
             if g == 1 and pivots.count(1) == n:
                 break
         return g, pivots
@@ -470,8 +517,8 @@ class _MinorTable:
             self._profile = MinorGcdProfile(
                 tuple(dk),
                 tuple(dk_star),
-                tuple(row_gcd(m, i) for i in range(m.rows)),
-                tuple(_column_gcd(m.entries, j) for j in range(m.cols)),
+                tuple(starmap(gcd, m.entries)),
+                tuple(starmap(gcd, zip(*m.entries))),
             )
         return self._profile
 
@@ -608,24 +655,22 @@ def desnanot_jacobi_residual(m: IntegerMatrix, i1: int, i2: int, j1: int, j2: in
 
 
 def _fold_divisibility(diag: list[int]) -> list[int]:
-    """Repair a positive diagonal into a divisibility chain.
+    """Repair a positive diagonal into a divisibility chain, in one pass.
 
     diag(a, b) is unimodularly equivalent to diag(gcd(a, b), lcm(a, b)),
-    so pairwise folding preserves the equivalence class; at the fixpoint
-    every entry divides the next, which is the Smith condition.
+    so pairwise folding preserves the equivalence class.  After row i of
+    the pass, diag[i] divides every later entry, and the later folds keep
+    that (the gcd and the lcm of two multiples of d are multiples of d),
+    so at the end every entry divides the next, which is the Smith
+    condition.
     """
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                a, b = diag[i], diag[j]
-                g = gcd(a, b)
-                if g == a:
-                    continue
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g = gcd(a, b)
+            if g != a:
                 diag[i] = g
                 diag[j] = a * b // g
-                changed = True
     return diag
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -362,28 +362,120 @@ def test_profile_without_stored_sizes_falls_back_to_bareiss(complete_scan_cases,
     assert not batched
 
 
+def _symmetric_rows(rng: random.Random, n: int, bound: int = 9) -> list[list[int]]:
+    rows = random_rows(rng, n, n, bound)
+    return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _kept_column_sets(cols: int, ri: tuple[int, ...], symmetric: bool) -> list[tuple[int, ...]]:
+    """The column sets whose minors a table keeps on row set ri, in its order.
+
+    Size 1 is the matrix row.  Above it the order is descending
+    lexicographic, and a symmetric matrix keeps only the column sets
+    C >= ri, which come first in that order.
+    """
+    if len(ri) == 1:
+        return [(c,) for c in range(cols)]
+    return [ci for ci in reversed(list(combinations(range(cols), len(ri)))) if not symmetric or ci >= ri]
+
+
 @pytest.mark.parametrize("cap", [linalg._TABLE_CAP, 225])
 def test_each_minor_equals_cofactor_expansion(cap, monkeypatch):
     """Every minor the table evaluates, signed, against cofactor expansion.
 
     GCD oracles cannot see an error that keeps the GCD, such as a wrong
     sign.  At the default cap every size of these matrices is stored; at
-    a cap of 225 only sizes 1 and 2 of the 6 x 6 one are, and its size 3
-    is expanded one minor at a time.
+    a cap of 225 only sizes 1 and 2 of the 6 x 6 ones are, and their size
+    3 is expanded one minor at a time.  A symmetric matrix of 5 or more
+    rows keeps, per row set R, only the minors on column sets C >= R, and
+    a size-3 request with C < R is answered from its transpose.
     """
     monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
     rng = random.Random(5)
-    for nr, nc in ((3, 4), (4, 4), (5, 6), (6, 5), (6, 6)):
-        rows = random_rows(rng, nr, nc, bound=5)
+    cases = [random_rows(rng, nr, nc, bound=5) for nr, nc in ((3, 4), (4, 4), (5, 6), (6, 5), (6, 6))]
+    cases += [_symmetric_rows(rng, n, bound=5) for n in (4, 5, 5, 6, 6)]
+    for rows in cases:
+        nr, nc = len(rows), len(rows[0])
         table = linalg._MinorTable(IntegerMatrix.from_rows(rows))
+        assert table.symmetric == (rows == [list(col) for col in zip(*rows)] and nr >= 5)
         for k in range(1, min(table.stored + 1, table.size) + 1):
             for ri in combinations(range(nr), k):
-                expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri])
-                            for ci in combinations(range(nc), k)]
                 if k <= table.stored:
+                    kept = _kept_column_sets(nc, ri, table.symmetric)
+                    expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri]) for ci in kept]
                     assert list(table._row_set(k, ri)) == expected, (rows, k, ri)
                 elif k > 2:
-                    assert [table._laplace(ri, ci) for ci in combinations(range(nc), k)] == expected
+                    every = list(combinations(range(nc), k))
+                    expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri]) for ci in every]
+                    assert [table._laplace(ri, ci) for ci in every] == expected, (rows, ri)
+    assert sum(linalg._MinorTable(IntegerMatrix.from_rows(rows)).symmetric for rows in cases) == 4
+
+
+def _symmetric_scan_cases() -> list[list[list[int]]]:
+    """Symmetric matrices that are not structure matrices, and each with one entry off its transpose.
+
+    Scaling by c makes every k x k minor a multiple of c**k, so most scans
+    run to the end; unscaled ones mostly stop at GCD 1.
+    """
+    rng = random.Random(23)
+    cases = []
+    for n in (1, 2, 3, 4, 5, 6):
+        for c in (1, 2, 6):
+            rows = [[c * x for x in row] for row in _symmetric_rows(rng, n, bound=5)]
+            cases.append(rows)
+            if n > 1:
+                i, j = sorted(rng.sample(range(n), 2))
+                off = [list(row) for row in rows]
+                off[i][j] += c
+                cases.append(off)
+    return cases
+
+
+@pytest.mark.parametrize("cap", [linalg._TABLE_CAP, 225, 4])
+def test_symmetric_profiles_and_pivots_match_oracle(cap, monkeypatch):
+    """Profile and pivots of symmetric matrices and their one-entry neighbours against brute force.
+
+    At the default cap every size is stored, at 225 the 6 x 6 ones store
+    sizes 1 and 2 and expand size 3 one minor at a time, and at 4 no size
+    of a matrix with 3 or more rows is stored.  The symmetric ones below 5
+    rows keep every column set, as the neighbours do.
+    """
+    monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
+    cases = _symmetric_scan_cases()
+    assert sum(linalg._MinorTable(IntegerMatrix.from_rows(rows)).symmetric for rows in cases) == 6
+    for rows in cases:
+        n = len(rows)
+        m = IntegerMatrix.from_rows(rows)
+        assert linalg._MinorTable(m).symmetric == (rows == [list(col) for col in zip(*rows)] and n >= 5)
+        dk = tuple(brute_minor_gcd(rows, k) for k in range(n + 1))
+        prof = minor_gcd_profile(m)
+        assert prof.dk == dk, rows
+        assert prof.dk_star == tuple(brute_minor_gcd(rows, k, corner=True) for k in range(1, n + 1)), rows
+        assert minor_gcd_pivot_sequences(m) == (dk, tuple(
+            tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
+            for i in range(n))), rows
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_complete_symmetric_scan_evaluates_each_minor_pair_once(n, monkeypatch):
+    """A complete scan of the K_n Laplacian evaluates sum_k C(n,k)(C(n,k)+1)/2 minors.
+
+    Its D_k = n^(k-1) and D_k* = n - 1, n, ... never reach 1 below D_n = 0,
+    so the profile and the pivot scan visit every row set of every size.
+    Each (size, row set) above 1 is batched once and evaluates the minors
+    on the column sets C >= R, which the table stores; size 1 is the
+    matrix itself, and its term counts the entries on and above the
+    diagonal.
+    """
+    batched = _count_batches(monkeypatch)
+    m = IntegerMatrix.from_rows([[n - 1 if i == j else -1 for j in range(n)] for i in range(n)])
+    table = linalg._MinorTable(m)
+    assert table.symmetric and table.stored == n
+    table.profile()
+    table.pivot_sequences()
+    assert len(batched) == len(set(batched)) == sum(comb(n, k) for k in range(2, n + 1))
+    evaluated = sum(len(minors) for store in table.stores[2:] for minors in store.values())
+    assert n * (n + 1) // 2 + evaluated == sum(comb(n, k) * (comb(n, k) + 1) // 2 for k in range(1, n + 1))
 
 
 def test_scans_past_the_stored_sizes_match_oracle(complete_scan_cases, monkeypatch):
@@ -653,3 +745,32 @@ def test_snf_is_exact_on_huge_entries():
     assert prod(res.diag[:1]) == minor_gcd_all(m, 1)
     assert prod(res.diag[:2]) == minor_gcd_all(m, 2)
     assert res.diag[0] * res.diag[1] == abs(determinant(m))
+
+
+def fixpoint_fold(diag: list[int]) -> list[int]:
+    """The gcd/lcm fold repeated until nothing changes: the oracle of the one-pass fold."""
+    diag = list(diag)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                a, b = diag[i], diag[j]
+                g = gcd(a, b)
+                if g != a:
+                    diag[i], diag[j] = g, a * b // g
+                    changed = True
+    return diag
+
+
+def test_one_pass_fold_equals_the_fixpoint():
+    rng = random.Random(17)
+    for _ in range(20_000):
+        size = rng.randint(1, 7)
+        bound = rng.choice((12, 360, 10**6))
+        diag = [rng.randint(1, bound) for _ in range(size)]
+        assert linalg._fold_divisibility(list(diag)) == fixpoint_fold(diag), diag
+    for _ in range(200):
+        diag = [prod(rng.choice((2, 3, 5, 7, 2**61 - 1)) for _ in range(rng.randint(0, 60)))
+                for _ in range(rng.randint(2, 6))]
+        assert linalg._fold_divisibility(list(diag)) == fixpoint_fold(diag), diag
