@@ -29,19 +29,9 @@ from . import jsonio
 from .enumeration import EnumerationQuery, enumerate_structures
 from .graphs import GraphError, StructureError, laplacian_structure
 from .jsonio import FileFormatError
-from .verify import (
-    FAIL,
-    NOT_APPLICABLE,
-    PASS,
-    PROVEN_IDS,
-    FuzzConfig,
-    check_conjecture_alpha,
-    check_conjecture_minors,
-    fuzz_campaign,
-    instance_of,
-    verify_minor_properties,
-    verify_operation_theorems,
-)
+
+# ``verify`` (and through it ``linalg``) is imported inside the commands
+# that build instances or run checks, so ``enumerate`` never loads either.
 
 
 class _UsageError(Exception):
@@ -55,6 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_instance(args):
     """The validated instance of the graph and structure named on the command line."""
+    from .verify import instance_of
+
     g = jsonio.load_graph(args.graph)
     if getattr(args, "laplacian", False):
         if getattr(args, "structure", None) is not None:
@@ -187,6 +179,8 @@ def cmd_apply_op(args) -> int:
 
 
 def _print_reports(reports, heading: str, json_bucket) -> None:
+    from .verify import PROVEN_IDS
+
     if json_bucket is None:
         print(f"{heading}:")
         for rep in reports:
@@ -210,6 +204,17 @@ def _print_reports(reports, heading: str, json_bucket) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .verify import (
+        FAIL,
+        NOT_APPLICABLE,
+        PASS,
+        PROVEN_IDS,
+        check_conjecture_alpha,
+        check_conjecture_minors,
+        verify_minor_properties,
+        verify_operation_theorems,
+    )
+
     inst = _load_instance(args)
     g, s = inst.graph, inst.structure
     if args.all_vertices:
@@ -292,6 +297,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def cmd_fuzz(args) -> int:
+    from .verify import FAIL, NOT_APPLICABLE, PASS, FuzzConfig, fuzz_campaign
+
     try:
         cfg = FuzzConfig(
             seed=args.seed,

@@ -24,8 +24,15 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .linalg import IntegerMatrix, SnfResult, chio_condense, smith_normal_form
+if TYPE_CHECKING:
+    from .linalg import IntegerMatrix, SnfResult
+
+# ``linalg`` is imported inside the functions that build or factor matrices,
+# so reading a graph file or enumerating structures never loads it.  The
+# absolute ``import critgroups.linalg as linalg`` costs about a quarter of
+# ``from .linalg import ...`` per call, and ``_matrix`` runs for every matrix.
 
 
 class GraphError(ValueError):
@@ -289,7 +296,9 @@ def structure_matrix(g: Multigraph, s: ArithmeticalStructure, last_vertex: int |
 
 
 def _matrix(g: Multigraph, s: ArithmeticalStructure, order) -> IntegerMatrix:
-    return IntegerMatrix(
+    import critgroups.linalg as linalg
+
+    return linalg.IntegerMatrix(
         tuple(tuple(s.d[i] if i == j else -g.mult[i][j] for j in order) for i in order)
     )
 
@@ -299,7 +308,9 @@ def critical_group(g: Multigraph, s: ArithmeticalStructure) -> CriticalGroup:
 
     Its order is the gcd of the (n-1) x (n-1) minors of L.
     """
-    return CriticalGroup.from_snf(smith_normal_form(structure_matrix(g, s)), g.n)
+    import critgroups.linalg as linalg
+
+    return CriticalGroup.from_snf(linalg.smith_normal_form(structure_matrix(g, s)), g.n)
 
 
 def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
@@ -360,6 +371,8 @@ def operation_matrix_consistency(g: Multigraph, s: ArithmeticalStructure, v: int
     one through 2 x 2 corner minors of L with v moved last); a mismatch
     would mean an implementation bug, never bad input.
     """
+    import critgroups.linalg as linalg
+
     lhs = star_clique_reduction(g, s, v).matrix()
-    rhs = chio_condense(structure_matrix(g, s, last_vertex=v))
+    rhs = linalg.chio_condense(structure_matrix(g, s, last_vertex=v))
     return lhs == rhs

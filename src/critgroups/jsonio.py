@@ -12,13 +12,16 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .graphs import ArithmeticalStructure, Multigraph
-from .linalg import IntegerMatrix
+
+if TYPE_CHECKING:
+    from .linalg import IntegerMatrix
 
 SAFE_INT_LIMIT = 1 << 53
 
-_DECIMAL = re.compile(r"-?[0-9]+$")
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class FileFormatError(ValueError):
@@ -35,7 +38,7 @@ def decode_int(value) -> int:
         raise FileFormatError(f"expected an integer, got {value!r}")
     if isinstance(value, int):
         return value
-    if isinstance(value, str) and _DECIMAL.match(value):
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     raise FileFormatError(f"expected an integer or decimal string, got {value!r}")
 
@@ -134,7 +137,9 @@ def matrix_from_obj(obj) -> IntegerMatrix:
         or not all(isinstance(row, list) and row for row in obj)
     ):
         raise FileFormatError("matrix must be a nonempty list of nonempty rows")
-    return IntegerMatrix.from_rows([[decode_int(x) for x in row] for row in obj])
+    import critgroups.linalg as linalg  # here, so reading graph files never loads linalg
+
+    return linalg.IntegerMatrix.from_rows([[decode_int(x) for x in row] for row in obj])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import critgroups.cli as cli
 import critgroups.verify as verify
 from critgroups.cli import main
 from critgroups.jsonio import fixture_path, load_graph, load_structure
@@ -205,7 +204,7 @@ def test_internal_error_exits_5(capsys, monkeypatch):
     def broken(g, s, v):
         raise ArithmeticError("L has Smith rank 2, expected 3")
 
-    monkeypatch.setattr(cli, "verify_operation_theorems", broken)
+    monkeypatch.setattr(verify, "verify_operation_theorems", broken)
     code, _, err = run_cli(capsys, "verify", NONSIMPLE_GRAPH, NONSIMPLE_B, "--vertex", "4")
     assert code == 5
     assert err == "internal error: ArithmeticError: L has Smith rank 2, expected 3\n"

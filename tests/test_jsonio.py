@@ -56,7 +56,7 @@ def test_big_ints_become_decimal_strings():
 
 
 def test_decode_int_rejects_junk():
-    for bad in (True, False, 3.5, "12x", "", "0x10", None, [1]):
+    for bad in (True, False, 3.5, "12x", "", "0x10", None, [1], "12\n", "-7\n"):
         with pytest.raises(FileFormatError):
             decode_int(bad)
 
