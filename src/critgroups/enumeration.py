@@ -24,19 +24,18 @@ search is still exhaustive over the box.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
+from ._record import Record
 from .graphs import ArithmeticalStructure, Multigraph
 
 
-@dataclass(frozen=True)
-class EnumerationQuery:
-    graph: Multigraph
-    r_max: int
+class EnumerationQuery(Record):
+    __slots__ = ("graph", "r_max")
 
-    def __post_init__(self) -> None:
+    def __init__(self, graph: Multigraph, r_max: int) -> None:
+        self._set(graph, r_max)
         if isinstance(self.r_max, bool) or not isinstance(self.r_max, int):
             raise ValueError(f"r_max must be an int, got {self.r_max!r}")
         if self.r_max < 1:

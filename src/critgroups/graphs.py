@@ -21,10 +21,11 @@ at any vertex with any d value.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import itemgetter
 from typing import TYPE_CHECKING
+
+from ._record import Record
 
 if TYPE_CHECKING:
     from .linalg import IntegerMatrix, SnfResult
@@ -43,8 +44,7 @@ class StructureError(ValueError):
     """An arithmetical-structure invariant fails."""
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(Record):
     """Connected loopless multigraph given by its symmetric multiplicity matrix.
 
     ``mult[i][j]`` is the number of parallel edges between vertices i and
@@ -52,9 +52,10 @@ class Multigraph:
     trivial graph.
     """
 
-    mult: tuple[tuple[int, ...], ...]
+    __slots__ = ("mult",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, mult: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "mult", mult)
         n = len(self.mult)
         if n == 0:
             raise GraphError("graph needs at least one vertex")
@@ -138,8 +139,7 @@ class Multigraph:
         ]
 
 
-@dataclass(frozen=True)
-class ArithmeticalStructure:
+class ArithmeticalStructure(Record):
     """A (d, r) pair; the graph-independent invariants are enforced here.
 
     d entries must be nonnegative, r entries positive with gcd 1.  Whether
@@ -147,10 +147,11 @@ class ArithmeticalStructure:
     is checked by :func:`validate_structure`.
     """
 
-    d: tuple[int, ...]
-    r: tuple[int, ...]
+    __slots__ = ("d", "r")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: tuple[int, ...], r: tuple[int, ...]) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", r)
         if len(self.d) != len(self.r) or not self.d:
             raise StructureError("d and r must be nonempty vectors of equal length")
         if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in self.d):
@@ -165,24 +166,26 @@ class ArithmeticalStructure:
         return len(self.d)
 
 
-@dataclass(frozen=True)
-class StructureViolation:
+class StructureViolation(Record):
     """Why a candidate (d, r) is not an arithmetical structure.
 
     ``vertex`` is the 0-based failing vertex, or None for a failure of
     the global gcd condition.
     """
 
-    vertex: int | None
-    message: str
+    __slots__ = ("vertex", "message")
+
+    def __init__(self, vertex: int | None, message: str) -> None:
+        self._set(vertex, message)
 
 
-@dataclass(frozen=True)
-class CriticalGroup:
+class CriticalGroup(Record):
     """Invariant-factor decomposition of the critical group."""
 
-    invariant_factors: tuple[int, ...]
-    order: int
+    __slots__ = ("invariant_factors", "order")
+
+    def __init__(self, invariant_factors: tuple[int, ...], order: int) -> None:
+        self._set(invariant_factors, order)
 
     @classmethod
     def from_snf(cls, snf: SnfResult, n: int) -> CriticalGroup:
@@ -206,18 +209,18 @@ class CriticalGroup:
         return " x ".join(f"Z/{f}" for f in nontrivial)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     """Output of :func:`star_clique_reduction`.
 
     ``r_divisor`` is the gcd the surviving r entries were divided by to
     make the new r primitive.
     """
 
-    graph: Multigraph
-    structure: ArithmeticalStructure
-    vertex: int
-    r_divisor: int
+    __slots__ = ("graph", "structure", "vertex", "r_divisor")
+
+    def __init__(self, graph: Multigraph, structure: ArithmeticalStructure, vertex: int,
+                 r_divisor: int) -> None:
+        self._set(graph, structure, vertex, r_divisor)
 
     def matrix(self) -> IntegerMatrix:
         """L' = diag(d') - A' of the output, which the reduction has already checked."""
@@ -254,21 +257,25 @@ def validate_structure(g: Multigraph, d, r) -> StructureViolation | None:
     return None
 
 
-_last_valid: tuple = ()  # the last (graph, structure) pair that passed validation
+# (graph, structure) pairs known to be valid: the last pair that passed
+# validation, then the output of the last reduction of it, which
+# star_clique_reduction has validated itself
+_last_valid: tuple = ()
 
 
 def _ensure_valid(g: Multigraph, s: ArithmeticalStructure) -> None:
     """Raise StructureError unless s is an arithmetical structure on g.
 
-    The last pair that passed is remembered, so a pair that goes through
-    several of the functions below is validated once.
+    The pairs in ``_last_valid`` are not validated again, so a pair that
+    goes through several of the functions below is validated once, and so
+    is each pair along a chain of reductions.
     """
     global _last_valid
-    if _last_valid != (g, s):
+    if (g, s) not in _last_valid:
         violation = validate_structure(g, s.d, s.r)
         if violation is not None:
             raise StructureError(violation.message)
-        _last_valid = (g, s)
+        _last_valid = ((g, s),)
 
 
 def laplacian_structure(g: Multigraph) -> ArithmeticalStructure:
@@ -327,8 +334,10 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
 
     The output is again a valid arithmetical structure; its matrix L' is
     exactly the condensation of L on the corner entry d[v] (see
-    :func:`operation_matrix_consistency`).
+    :func:`operation_matrix_consistency`).  It is validated here, and
+    recorded as valid, so reducing or factoring it next validates nothing.
     """
+    global _last_valid
     n = g.n
     if n < 2:
         raise GraphError("reduction needs at least two vertices")
@@ -361,6 +370,7 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
             f"reduction at vertex {v} produced an invalid structure: {violation.message}; "
             f"input mult={g.mult}, d={s.d}, r={s.r}"
         )
+    _last_valid = ((g, s), (new_graph, new_structure))
     return ReductionResult(new_graph, new_structure, v, divisor)
 
 

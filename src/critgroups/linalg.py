@@ -33,21 +33,22 @@ only kept minors.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, islice, starmap
 from math import comb, gcd
 from operator import add, eq, mul, sub
 from typing import NamedTuple
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+
+class IntegerMatrix(Record):
     """Immutable dense matrix of Python ints (at least 1 x 1)."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
         if not self.entries or not self.entries[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(self.entries[0])
@@ -108,14 +109,13 @@ class IntegerMatrix:
         )
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(Record):
     """A choice of k row indices and k column indices, strictly increasing."""
 
-    row_set: tuple[int, ...]
-    col_set: tuple[int, ...]
+    __slots__ = ("row_set", "col_set")
 
-    def __post_init__(self) -> None:
+    def __init__(self, row_set: tuple[int, ...], col_set: tuple[int, ...]) -> None:
+        self._set(row_set, col_set)
         if len(self.row_set) != len(self.col_set):
             raise ValueError("row set and column set must have equal size")
         if not self.row_set:
@@ -131,20 +131,21 @@ class MinorSpec:
         return len(self.row_set)
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """Diagonal of the Smith normal form, padded with zeros to full length.
 
     ``diag[i] > 0`` and ``diag[i] | diag[i+1]`` for i < rank; all later
     entries are 0.  Transform matrices are not tracked.
     """
 
-    diag: tuple[int, ...]
-    rank: int
+    __slots__ = ("diag", "rank")
+
+    def __init__(self, diag: tuple[int, ...], rank: int) -> None:
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "rank", rank)
 
 
-@dataclass(frozen=True)
-class MinorGcdProfile:
+class MinorGcdProfile(Record):
     """All determinantal-divisor data of one matrix in a single bundle.
 
     ``dk[k]`` is the GCD of all k x k minors for k = 0..min(rows, cols),
@@ -154,10 +155,11 @@ class MinorGcdProfile:
     ``col_gcds[j]`` are entry GCDs of single rows/columns.
     """
 
-    dk: tuple[int, ...]
-    dk_star: tuple[int, ...]
-    row_gcds: tuple[int, ...]
-    col_gcds: tuple[int, ...]
+    __slots__ = ("dk", "dk_star", "row_gcds", "col_gcds")
+
+    def __init__(self, dk: tuple[int, ...], dk_star: tuple[int, ...], row_gcds: tuple[int, ...],
+                 col_gcds: tuple[int, ...]) -> None:
+        self._set(dk, dk_star, row_gcds, col_gcds)
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
 from operator import mul
 
+from ._record import Record
 from .enumeration import EnumerationQuery, enumerate_structures
 from .graphs import (
     ArithmeticalStructure,
@@ -121,8 +121,7 @@ class PropertyId(str, Enum):
 PROVEN_IDS = frozenset(p for p in PropertyId if not p.value.startswith("CONJ_"))
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """Outcome of one property check on one input.
 
     A failing report always carries a witness with the full input and the
@@ -130,10 +129,14 @@ class PropertyReport:
     ``degenerate`` marks comparisons that ran into a zero divisor value.
     """
 
-    property_id: PropertyId
-    status: str
-    witness: dict | None = None
-    degenerate: bool = False
+    __slots__ = ("property_id", "status", "witness", "degenerate")
+
+    def __init__(self, property_id: PropertyId, status: str, witness: dict | None = None,
+                 degenerate: bool = False) -> None:
+        object.__setattr__(self, "property_id", property_id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "degenerate", degenerate)
 
     @property
     def failed(self) -> bool:
@@ -309,8 +312,7 @@ def _holds(ok: bool, **details) -> tuple[bool, bool, dict]:
     return ok, False, details
 
 
-@dataclass(frozen=True)
-class _Property:
+class _Property(Record):
     """One table row: when the property applies, and the comparisons it makes.
 
     ``comparisons(x)`` yields (ok, degenerate, details) in a fixed order.
@@ -319,9 +321,11 @@ class _Property:
     ``degenerate``.
     """
 
-    pid: PropertyId
-    applies: Callable[[object], bool]
-    comparisons: Callable[[object], Iterable[tuple[bool, bool, dict]]]
+    __slots__ = ("pid", "applies", "comparisons")
+
+    def __init__(self, pid: PropertyId, applies: Callable[[object], bool],
+                 comparisons: Callable[[object], Iterable[tuple[bool, bool, dict]]]) -> None:
+        self._set(pid, applies, comparisons)
 
     def report(self, x) -> PropertyReport:
         if not self.applies(x):
@@ -567,8 +571,7 @@ def check_conjecture_alpha(g: Multigraph, s: ArithmeticalStructure, v: int) -> P
 # fuzzing
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class FuzzConfig(Record):
     """Deterministic fuzz-campaign parameters.
 
     Each case derives its own generator from ``seed`` and the case index,
@@ -579,14 +582,13 @@ class FuzzConfig:
     and cycles.
     """
 
-    seed: int = 0
-    matrix_dims: tuple[int, int] = (2, 6)
-    entry_bound: int = 9
-    case_count: int = 100
-    structure_queries: tuple[EnumerationQuery, ...] | None = None
-    target: str = "all"
+    __slots__ = ("seed", "matrix_dims", "entry_bound", "case_count", "structure_queries", "target")
 
-    def __post_init__(self) -> None:
+    def __init__(self, seed: int = 0, matrix_dims: tuple[int, int] = (2, 6), entry_bound: int = 9,
+                 case_count: int = 100,
+                 structure_queries: tuple[EnumerationQuery, ...] | None = None,
+                 target: str = "all") -> None:
+        self._set(seed, matrix_dims, entry_bound, case_count, structure_queries, target)
         if not isinstance(self.matrix_dims, (tuple, list)) or len(self.matrix_dims) != 2:
             raise ValueError(f"matrix_dims must be a pair (lo, hi), got {self.matrix_dims!r}")
         lo, hi = self.matrix_dims
@@ -609,15 +611,28 @@ class FuzzConfig:
             raise ValueError(f"structure_queries must be None or a tuple of EnumerationQuery, got {queries!r}")
 
 
-@dataclass
-class FuzzSummary:
-    """Tallies of a campaign plus every failing report, in case order."""
+class FuzzSummary(Record):
+    """Tallies of a campaign plus every failing report, in case order.
 
-    config: FuzzConfig
-    cases: int = 0
-    tallies: dict[str, dict[str, int]] = field(default_factory=dict)
-    failures: list[PropertyReport] = field(default_factory=list)
-    witness_paths: list[str] = field(default_factory=list)
+    Unlike the other records it is filled in as the campaign runs, so it
+    can be assigned to and is not hashable.  Each summary gets fresh
+    containers unless some are passed in.
+    """
+
+    __slots__ = ("config", "cases", "tallies", "failures", "witness_paths")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, config: FuzzConfig, cases: int = 0,
+                 tallies: dict[str, dict[str, int]] | None = None,
+                 failures: list[PropertyReport] | None = None,
+                 witness_paths: list[str] | None = None) -> None:
+        self.config = config
+        self.cases = cases
+        self.tallies = {} if tallies is None else tallies
+        self.failures = [] if failures is None else failures
+        self.witness_paths = [] if witness_paths is None else witness_paths
 
     def tally(self, report: PropertyReport) -> None:
         bucket = self.tallies.setdefault(
@@ -766,7 +781,7 @@ def _shrunk_failure(report: PropertyReport) -> PropertyReport:
     fresh = _rerun_matrix_check(pid, small)
     witness = dict(fresh.witness or {})
     witness["matrix_original"] = report.witness["matrix"]
-    return replace(fresh, witness=witness)
+    return PropertyReport(fresh.property_id, fresh.status, witness, fresh.degenerate)
 
 
 def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:

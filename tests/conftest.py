@@ -53,7 +53,7 @@ def nonsimple_b(nonsimple) -> tuple[Multigraph, ArithmeticalStructure]:
 
 
 def forget_memos() -> None:
-    """Drop the pair, instance and minor table that the package keeps from its last call."""
+    """Drop the valid pairs, instance and minor table that the package keeps from its last calls."""
     graphs._last_valid = ()
     verify._last_instance = None
     verify._last_table = None

@@ -22,7 +22,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 PACKAGE_ROOT = str(Path(critgroups.__file__).resolve().parents[1])
 
 # Runs cli.main on each argv given as a JSON argument and prints, per run,
-# its exit code, its stdout and the package modules loaded after it.
+# its exit code, its stdout, the package modules loaded after it and
+# whether ``dataclasses`` is loaded by then.
 CLI_PROBE = """
 import contextlib, io, json, sys
 from critgroups import cli
@@ -32,7 +33,8 @@ def run(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     loaded = sorted(m for m in sys.modules if m.startswith("critgroups"))
-    return {"code": code, "out": out.getvalue(), "loaded": loaded}
+    return {"code": code, "out": out.getvalue(), "loaded": loaded,
+            "dataclasses": "dataclasses" in sys.modules}
 
 print(json.dumps([run(json.loads(arg)) for arg in sys.argv[1:]]))
 """
@@ -59,6 +61,20 @@ def test_enumerate_loads_neither_verify_nor_linalg():
     assert verified["code"] == 0
     assert {"critgroups.verify", "critgroups.linalg"} <= set(verified["loaded"])
     assert verified["out"] == (GOLDEN / "verify-nonsimple4-b.out").read_text()
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    graph = str(fixture_path("simple7.graph.json"))
+    structure = str(fixture_path("simple7.structure.json"))
+    argvs = (["enumerate", graph, "--rmax", "2"], ["critgroup", graph, structure],
+             ["verify", graph, structure, "--all-vertices"],
+             ["apply-op", graph, structure, "--vertex", "3", "--out", str(tmp_path / "reduced")],
+             ["fuzz", "--seed", "0", "--cases", "20"])
+    runs = json.loads(fresh_python(CLI_PROBE, *map(json.dumps, argvs)))
+    # each run leaves dataclasses unloaded; the last one has loaded every module
+    assert [(run["code"], run["dataclasses"]) for run in runs] == [(0, False)] * len(argvs)
+    assert {"critgroups.graphs", "critgroups.linalg", "critgroups.verify", "critgroups.enumeration",
+            "critgroups.jsonio"} <= set(runs[-1]["loaded"])
 
 
 def test_package_import_loads_no_submodule_and_submodules_still_import():

@@ -24,7 +24,6 @@ path.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import critgroups.verify as verify
@@ -73,6 +72,12 @@ def _instances():
         "simple7-v3": (s7, ArithmeticalStructure(SIMPLE7_D, SIMPLE7_R), 2),
         "cycle4-v1": (c4, laplacian_structure(c4), 0),
     }
+
+
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes`` to its fields, built through its constructor."""
+    fields = {name: getattr(record, name) for name in type(record).__slots__}
+    return type(record)(**{**fields, **changes})
 
 
 def _at(values, index, kind):

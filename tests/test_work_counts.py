@@ -75,3 +75,23 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
         "_MinorTable": 370,
         "minor_gcd_sequence": 0,
     }
+
+
+def test_reduction_chain_validates_each_pair_once(calls, simple7):
+    g, s = simple7
+    k = 5
+    for _ in range(k):
+        graphs.critical_group(g, s)
+        reduced = graphs.star_clique_reduction(g, s, g.n - 1)
+        g, s = reduced.graph, reduced.structure
+    graphs.critical_group(g, s)
+    # k + 1 validations for k reductions: the first pair where the chain
+    # starts, then each output once, by the reduction that made it; the
+    # critical group and the next reduction of an output validate nothing
+    assert calls == {
+        "validate_structure": k + 1,
+        "smith_normal_form": k + 1,
+        "star_clique_reduction": k,
+        "_MinorTable": 0,
+        "minor_gcd_sequence": 0,
+    }
