@@ -209,9 +209,9 @@ def cmd_verify(args) -> int:
         NOT_APPLICABLE,
         PASS,
         PROVEN_IDS,
+        _matrix_reports,
         check_conjecture_alpha,
         check_conjecture_minors,
-        verify_minor_properties,
         verify_operation_theorems,
     )
 
@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
     all_reports = []
 
     mat = inst.matrix
-    matrix_reports = list(verify_minor_properties(mat))
+    matrix_reports = _matrix_reports(mat, inst.snf)  # MINORFACTS_A reads the instance's SNF(L)
     matrix_reports.append(check_conjecture_minors(mat))
     all_reports.extend(matrix_reports)
     _print_reports(matrix_reports, "matrix checks on L", json_bucket)

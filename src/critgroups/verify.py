@@ -23,16 +23,19 @@ when studying the generic case.
 The properties form one table of (id, applicability, comparisons) rows,
 evaluated by :meth:`_Property.report`.  Their inputs are computed once:
 a (graph, structure) pair becomes one validated :class:`_Instance` that
-holds L, SNF(L), the minor table of L and, per vertex, the reduction and
+holds L, SNF(L), the pivot scan of L and, per vertex, the reduction and
 everything derived from it; the last instance and the last minor table
-are kept, so consecutive checks of the same pair or matrix share them.
+are kept, so consecutive checks of the same pair or matrix share them,
+and a fuzz campaign keeps one instance per pair it draws.
 
 Determinantal divisors come from two engines.  Minor scans: one minor
 table per matrix (``linalg._MinorTable``) evaluates each of its minors at
 most once.  It gives the matrix family D_k(M) and D_k*(M), its profile,
 and the operation family D_k(L) and every vertex's D_k*(L), its pivot
 scan; when the matrix checks run on L, as ``verify --all-vertices``
-does, both read the one table of L.  Smith forms: D_k is the product of
+does, both read the one table of L.  CONJ_MINORS on L with v last, in a
+fuzz campaign, reads the pivot scan too: it is an open statement, not a
+comparison of two engines.  Smith forms: D_k is the product of
 the first k invariant factors, which gives D_k(L') from SNF(L') and
 MINORFACTS_B the D_k of each deletion submatrix from its SNF, and
 MINORFACTS_A the D_k(M) it divides into D_k*(M) from SNF(M).  So
@@ -50,7 +53,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate
 from math import gcd
 from operator import mul
@@ -165,6 +168,10 @@ def _table(m: IntegerMatrix) -> _MinorTable:
     return _last_table
 
 
+def _pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    return _table(m).pivot_sequences()
+
+
 def _snf_dk(snf: SnfResult) -> tuple[int, ...]:
     """(D_0, ..., D_min): the prefix products of the zero-padded Smith diagonal."""
     return tuple(accumulate(snf.diag, mul, initial=1))
@@ -186,8 +193,11 @@ class _Instance:
 
     Building it validates the pair (``structure_matrix`` does).  SNF(L)
     serves every vertex: moving v last permutes rows and columns alike,
-    which leaves the Smith form unchanged.  So does the minor table of L,
-    the same table the matrix checks used if they ran on L last.
+    which leaves the Smith form unchanged.  So does the pivot scan of L,
+    run on first use in the minor table of L, the same table the matrix
+    checks used if they ran on L last.  The instance keeps the scan's two
+    sequences and no minor table, so a fuzz campaign can hold one
+    instance per pair it draws, for the whole campaign.
     """
 
     def __init__(self, g: Multigraph, s: ArithmeticalStructure) -> None:
@@ -196,12 +206,14 @@ class _Instance:
         self.matrix = structure_matrix(g, s)
         self.snf = smith_normal_form(self.matrix)
         self.group = CriticalGroup.from_snf(self.snf, g.n)
-        self.table = _table(self.matrix)
+        # (D_0..D_n of L, per vertex v the D_1*..D_n* of L with v last); it refers
+        # to L, not to the instance, so the vertex records sharing it form no cycle
+        self.pivots = cache(partial(_pivot_sequences, self.matrix))
         self._vertices: dict[int, _Vertex] = {}
 
     @property
     def profile(self) -> MinorGcdProfile:
-        return self.table.profile()
+        return _table(self.matrix).profile()
 
     def vertex(self, v: int) -> _Vertex:
         """The record of the reduction at v (0-based), built on first use."""
@@ -218,17 +230,17 @@ class _Vertex:
     (a_k = alpha[k-1]) and ``order``/``order_p`` the group orders, from
     SNF(L) and ``snf_p`` = SNF(L').  ``dkp``, D_k(L'), is the prefix
     products of ``snf_p``'s diagonal.  D_k(L) and D_k*(L with v last) come
-    from the pivot scan of the instance's minor table of L (``table``), on
-    first use; one scan serves every vertex, since moving v last only
-    permutes rows and columns alike.  No SNF enters them, so THM_DKL_A..D
-    compare values of different engines.
+    from the instance's pivot scan of L, on first use; one scan serves
+    every vertex, since moving v last only permutes rows and columns
+    alike.  No SNF enters them, so THM_DKL_A..D compare values of
+    different engines.
     """
 
     def __init__(self, inst: _Instance, v: int) -> None:
         g, s = inst.graph, inst.structure
+        self.pivots = inst.pivots
         self.graph, self.structure, self.v = g, s, v
         self.n = g.n
-        self.table = inst.table
         self.matrix = structure_matrix(g, s, last_vertex=v)
         self.m = s.d[v]
         self.g = row_gcd(self.matrix, self.n - 1)
@@ -260,12 +272,12 @@ class _Vertex:
     @cached_property
     def dk(self) -> tuple[int, ...]:
         """D_k(L), k = 0..n."""
-        return self.table.pivot_sequences()[0]
+        return self.pivots()[0]
 
     @cached_property
     def dk_star(self) -> tuple[int, ...]:
         """D_k*(L) with v last, k = 1..n."""
-        return self.table.pivot_sequences()[1][self.v]
+        return self.pivots()[1][self.v]
 
     @cached_property
     def dkp(self) -> tuple[int, ...]:
@@ -276,15 +288,19 @@ class _Vertex:
 class _MatrixFacts:
     """What the matrix family compares on one matrix.
 
-    ``dk`` and ``dks`` come from the profile of the minor table of m;
-    ``snf_dk``, the D_k that MINORFACTS_A divides into D_k*, from SNF(m).
+    ``dk`` and ``dks`` come from the profile of the minor table of m
+    unless the caller gives them; ``snf_dk``, the D_k that MINORFACTS_A
+    divides into D_k*, from SNF(m), which the caller may give as ``snf``.
     """
 
-    def __init__(self, m: IntegerMatrix) -> None:
+    def __init__(self, m: IntegerMatrix, dk: tuple[int, ...] | None = None,
+                 dks: tuple[int, ...] | None = None, snf: SnfResult | None = None) -> None:
         self.m = m
         self.size = min(m.rows, m.cols)
-        self.profile = _table(m).profile()
-        self.dk, self.dks = self.profile.dk, self.profile.dk_star
+        if dk is None:
+            dk, dks = self.profile.dk, self.profile.dk_star
+        self.dk, self.dks = dk, dks
+        self.snf = snf
 
     @property
     def payload(self) -> dict:
@@ -295,8 +311,12 @@ class _MatrixFacts:
         return determinant(self.m)
 
     @cached_property
+    def profile(self) -> MinorGcdProfile:
+        return _table(self.m).profile()
+
+    @cached_property
     def snf_dk(self) -> tuple[int, ...]:
-        return _snf_dk(smith_normal_form(self.m))
+        return _snf_dk(smith_normal_form(self.m) if self.snf is None else self.snf)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +551,12 @@ def verify_minor_properties(m: IntegerMatrix) -> list[PropertyReport]:
     keeps the check linear in the profile cost while still exercising the
     interesting direction (the deleted line is never the corner line).
     """
-    facts = _MatrixFacts(m)
+    return _matrix_reports(m)
+
+
+def _matrix_reports(m: IntegerMatrix, snf: SnfResult | None = None) -> list[PropertyReport]:
+    """The matrix family on m; MINORFACTS_A reads ``snf`` as SNF(m) when given."""
+    facts = _MatrixFacts(m, snf=snf)
     return [prop.report(facts) for prop in _MATRIX_PROPERTIES]
 
 
@@ -540,11 +565,17 @@ def check_conjecture_minors(m: IntegerMatrix) -> PropertyReport:
     return _CONJ_MINORS.report(_MatrixFacts(m))
 
 
-def _operation_reports(g, s, v: int, properties) -> list[PropertyReport]:
-    inst = instance_of(g, s)
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range 0..{g.n - 1}")
-    if g.n < 3:
+def _vertex_minors_report(record: _Vertex) -> PropertyReport:
+    """CONJ_MINORS on L with v last, its D_k and D_k* read from the pivot scan of L."""
+    return _CONJ_MINORS.report(_MatrixFacts(record.matrix, record.dk, record.dk_star))
+
+
+def _operation_reports(inst: _Instance, v: int, properties) -> list[PropertyReport]:
+    """The reports of ``properties`` for the reduction of the instance at v (0-based)."""
+    n = inst.graph.n
+    if not 0 <= v < n:
+        raise IndexError(f"vertex {v} out of range 0..{n - 1}")
+    if n < 3:
         return [PropertyReport(prop.pid, NOT_APPLICABLE) for prop in properties]
     record = inst.vertex(v)
     return [prop.report(record) for prop in properties]
@@ -559,12 +590,12 @@ def verify_operation_theorems(g: Multigraph, s: ArithmeticalStructure, v: int) -
     in witnesses use k as in the property comments: a_k is the k-th
     invariant factor of L, a'_k of L', both 1-based.
     """
-    return _operation_reports(g, s, v, _OPERATION_PROPERTIES)
+    return _operation_reports(instance_of(g, s), v, _OPERATION_PROPERTIES)
 
 
 def check_conjecture_alpha(g: Multigraph, s: ArithmeticalStructure, v: int) -> PropertyReport:
     """Open statement: a'_k | d[v] * a_{k+1} for every k = 1..n-2."""
-    return _operation_reports(g, s, v, (_CONJ_ALPHA,))[0]
+    return _operation_reports(instance_of(g, s), v, (_CONJ_ALPHA,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +727,11 @@ def case_matrix(cfg: FuzzConfig, index: int) -> IntegerMatrix:
     return IntegerMatrix(tuple(tuple(row) for row in a))
 
 
-def _case_instance(cfg: FuzzConfig, index: int, instances) -> tuple:
+def _case_draw(cfg: FuzzConfig, index: int, draws: list[tuple[int, int]]) -> tuple[int, int]:
+    """The (pair, vertex) draw of campaign case `index`, the same whenever it is made."""
     rng = random.Random(f"{cfg.seed}:{index}:instance")
-    return instances[rng.randrange(len(instances))]
+    return draws[rng.randrange(len(draws))]
+
 
 def _rerun_matrix_check(pid: PropertyId, m: IntegerMatrix) -> PropertyReport:
     """Re-run the single matrix-family check `pid` on a fresh matrix."""
@@ -789,19 +822,23 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
 
     Matrix cases exercise the matrix checks; structure cases draw one
     (graph, structure, vertex) instance per case from the configured
-    enumeration queries.  Failing matrix witnesses are minimized before
-    being recorded.  When ``archive_dir`` is given, each failure is also
-    written there as a JSON witness file.
+    enumeration queries.  Each (graph, structure) pair drawn gets one
+    :class:`_Instance`, kept from the first case that draws the pair to
+    the last; it holds no minor table, so memory grows with the pairs
+    drawn, not with the cases.  Failing matrix witnesses are minimized
+    before being recorded.  When ``archive_dir`` is given, each failure
+    is also written there as a JSON witness file.
     """
     from . import jsonio  # local import: jsonio is the serialization boundary
 
     want_matrix_props = cfg.target in ("all", "theorems")
     want_minors = cfg.target in ("all", "minors")
-    want_op_props = cfg.target in ("all", "theorems")
-    want_alpha = cfg.target in ("all", "alpha")
+    structure_props = {"all": (*_OPERATION_PROPERTIES, _CONJ_ALPHA), "theorems": _OPERATION_PROPERTIES,
+                       "alpha": (_CONJ_ALPHA,), "minors": ()}[cfg.target]
 
-    instances: list[tuple[Multigraph, ArithmeticalStructure, int]] = []
-    if want_op_props or want_alpha:
+    pairs: list[tuple[Multigraph, ArithmeticalStructure]] = []
+    draws: list[tuple[int, int]] = []  # (index into pairs, vertex)
+    if structure_props:
         queries = (
             cfg.structure_queries
             if cfg.structure_queries is not None
@@ -811,8 +848,12 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
             if query.graph.n < 3:
                 continue
             for s in enumerate_structures(query):
-                for v in range(query.graph.n):
-                    instances.append((query.graph, s, v))
+                draws.extend((len(pairs), v) for v in range(query.graph.n))
+                pairs.append((query.graph, s))
+    # the last case that draws each pair, after which its instance is dropped
+    last_case = {_case_draw(cfg, index, draws)[0]: index
+                 for index in range(cfg.case_count)} if draws else {}
+    live: dict[int, _Instance] = {}
 
     summary = FuzzSummary(config=cfg)
     for index in range(cfg.case_count):
@@ -823,16 +864,16 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
                 reports.extend(verify_minor_properties(mtx))
             if want_minors:
                 reports.append(check_conjecture_minors(mtx))
-        if instances and (want_op_props or want_alpha):
-            gph, s, v = _case_instance(cfg, index, instances)
-            if want_op_props:
-                reports.extend(verify_operation_theorems(gph, s, v))
-            if want_alpha:
-                reports.append(check_conjecture_alpha(gph, s, v))
+        if draws:
+            pair, v = _case_draw(cfg, index, draws)
+            inst = live.pop(pair, None) or _Instance(*pairs[pair])
+            if last_case[pair] > index:
+                live[pair] = inst
+            reports.extend(_operation_reports(inst, v, structure_props))
             if cfg.target == "all":
                 # the structure matrices are a targeted input family for
                 # the minors statement as well
-                reports.append(check_conjecture_minors(instance_of(gph, s).vertex(v).matrix))
+                reports.append(_vertex_minors_report(inst.vertex(v)))
         for report in reports:
             summary.tally(report)
             if report.failed:

@@ -258,6 +258,60 @@ def random_multigraph_structures(seed: int, count: int) -> list[tuple[Multigraph
     return pairs[:count]
 
 
+def weighted_structures(seed: int, count: int) -> list[tuple[Multigraph, ArithmeticalStructure]]:
+    """Seeded structures with 3..8 vertices and r entries up to 3.
+
+    A random connected pattern c (a spanning tree plus a few edges, c_ij
+    in 1..2) gives mult_ij = c_ij r_i r_j, so d_i = sum_j c_ij r_j^2.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        r = [rng.randint(1, 3) for _ in range(n)]
+        r[rng.randrange(n)] = 1
+        c = {(i, rng.randrange(i)): rng.randint(1, 2) for i in range(1, n)}
+        for _ in range(rng.randint(0, 3)):
+            i, j = sorted(rng.sample(range(n), 2), reverse=True)
+            c[i, j] = rng.randint(1, 2)
+        g = Multigraph.from_edges(n, [(i, j, m * r[i] * r[j]) for (i, j), m in c.items()])
+        d = tuple(sum(g.mult[i][j] * r[j] for j in range(n)) // r[i] for i in range(n))
+        pairs.append((g, ArithmeticalStructure(d, tuple(r))))
+    return pairs
+
+
+def test_conj_minors_from_the_pivot_scan_equals_the_scan_of_l_with_v_last(monkeypatch):
+    """The inputs that the campaign's CONJ_MINORS reads, and its report, against the public path.
+
+    The campaign reads D_k and D_k* from the instance's pivot scan of L;
+    the oracle is the profile of L with v last, scanned in a table of its
+    own, on which ``check_conjecture_minors`` reports.
+    """
+    from critgroups.graphs import structure_matrix
+
+    seen = []
+    real = verify._CONJ_MINORS
+    monkeypatch.setattr(verify, "_CONJ_MINORS", verify._Property(
+        PropertyId.CONJ_MINORS, real.applies, lambda x: seen.append(x) or real.comparisons(x)))
+    pairs = [(g, s) for n in range(3, 8) for g in (Multigraph.path(n), Multigraph.cycle(n))
+             for s in enumerate_structures(EnumerationQuery(g, 8))]
+    pairs += weighted_structures(seed=12, count=120)
+    cases = 0
+    for g, s in pairs:
+        inst = verify._Instance(g, s)
+        for v in range(g.n):
+            seen.clear()
+            shared = verify._vertex_minors_report(inst.vertex(v))
+            (facts,) = seen
+            m = structure_matrix(g, s, last_vertex=v)
+            assert shared == check_conjecture_minors(m), (s, v)
+            # minor_gcd_profile(m) without a second scan: the table of m that the check just built
+            direct = verify._table(m).profile()
+            assert facts.m == m and (facts.dk, facts.dks) == (direct.dk, direct.dk_star), (s, v)
+            cases += 1
+    assert cases > 12000
+
+
 def test_dkp_equals_the_minor_scan_of_the_reduced_matrix():
     """D_k(L') from SNF(L') against the scan of every k x k minor of L'."""
     pairs = [(g, s) for g in (Multigraph.path(5), Multigraph.cycle(5), Multigraph.cycle(6))
@@ -451,6 +505,99 @@ def test_campaign_is_deterministic_and_clean():
     assert first.proven_failure_count == 0
     # with the default target every known property gets tallied
     assert set(first.tallies) == {pid.value for pid in PropertyId}
+
+
+def reference_campaign(cfg: FuzzConfig) -> tuple[dict, list[PropertyReport]]:
+    """Tallies and failures of ``cfg``'s campaign, each case built afresh from the public checks."""
+    from critgroups.graphs import structure_matrix
+
+    draws = [(q.graph, s, v) for q in cfg.structure_queries if q.graph.n >= 3
+             for s in enumerate_structures(q) for v in range(q.graph.n)]
+    tallies, failures = {}, []
+    for index in range(cfg.case_count):
+        m = case_matrix(cfg, index)
+        reports = []
+        if cfg.target in ("all", "theorems"):
+            reports += verify_minor_properties(m)
+        if cfg.target in ("all", "minors"):
+            reports.append(check_conjecture_minors(m))
+        if cfg.target != "minors":
+            g, s, v = draws[random.Random(f"{cfg.seed}:{index}:instance").randrange(len(draws))]
+            if cfg.target in ("all", "theorems"):
+                reports += verify_operation_theorems(g, s, v)
+            if cfg.target in ("all", "alpha"):
+                reports.append(check_conjecture_alpha(g, s, v))
+            if cfg.target == "all":
+                reports.append(check_conjecture_minors(structure_matrix(g, s, last_vertex=v)))
+        for r in reports:
+            bucket = tallies.setdefault(r.property_id.value, {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0})
+            bucket[r.status] += 1
+            if r.failed:
+                failures.append(verify._shrunk_failure(r))
+    return tallies, failures
+
+
+def battery() -> tuple[EnumerationQuery, ...]:
+    from conftest import NONSIMPLE_EDGES
+
+    return (EnumerationQuery(Multigraph.path(5), 8), EnumerationQuery(Multigraph.cycle(5), 8),
+            EnumerationQuery(Multigraph.from_edges(4, NONSIMPLE_EDGES), 8))
+
+
+def outcomes(failures) -> list[tuple]:
+    return [(r.property_id, r.status, r.witness, r.degenerate) for r in failures]
+
+
+@pytest.mark.parametrize("target", ["all", "theorems", "alpha"])
+def test_campaign_equals_a_loop_over_the_public_checks(target):
+    """Shared instances and CONJ_MINORS from the pivot scan report what case-by-case checks report."""
+    for seed in range(3):
+        cfg = FuzzConfig(seed=seed, case_count=300, structure_queries=battery(), target=target)
+        summary = fuzz_campaign(cfg)
+        tallies, failures = reference_campaign(cfg)
+        assert summary.tallies == tallies, seed
+        assert outcomes(summary.failures) == outcomes(failures), seed
+
+
+def test_injected_failures_on_redrawn_pairs_equal_the_loop(monkeypatch):
+    """Wrong values on 4 x 4 structure matrices fail each draw of a pair on the 4-vertex multigraph.
+
+    Per family one value is wrong: the operation family reads 0 as the
+    last-row gcd of L, and CONJ_MINORS reads D_1 + 1 on every matrix with
+    4 rows, case matrices included.  The campaign keeps the instance of
+    each pair it draws again; its failures equal those of the case-by-case
+    loop, and two failures of one pair never share a witness object.
+    """
+    queries = battery()
+    real_row_gcd, real_minors = verify.row_gcd, verify._CONJ_MINORS
+
+    def wrong_d1(x):
+        if x.m.rows == 4:
+            x = verify._MatrixFacts(x.m, (1, x.dk[1] + 1, *x.dk[2:]), x.dks)
+        return real_minors.comparisons(x)
+
+    monkeypatch.setattr(verify, "row_gcd", lambda m, i: 0 if m.rows == 4 else real_row_gcd(m, i))
+    monkeypatch.setattr(verify, "_CONJ_MINORS",
+                        verify._Property(PropertyId.CONJ_MINORS, real_minors.applies, wrong_d1))
+    for target in ("all", "theorems"):
+        cfg = FuzzConfig(seed=0, case_count=300, structure_queries=queries, target=target)
+        forget_memos()
+        summary = fuzz_campaign(cfg)
+        forget_memos()
+        tallies, failures = reference_campaign(cfg)
+        assert summary.tallies == tallies
+        assert outcomes(summary.failures) == outcomes(failures)
+        by_pair = {}
+        for r in summary.failures:
+            w = r.witness
+            key = json.dumps(w.get("matrix_original", w.get("matrix")) or [w["d"], w["r"]])
+            by_pair.setdefault((r.property_id, key), []).append(w)
+        redrawn = [ws for ws in by_pair.values() if len(ws) > 1]
+        assert len(redrawn) > 10
+        assert any("matrix" in ws[0] for ws in redrawn) == (target == "all")
+        for ws in redrawn:
+            inner = [w.get("matrix", w.get("graph_mult")) for w in ws]
+            assert len({id(w) for w in ws}) == len({id(x) for x in inner}) == len(ws)
 
 
 def test_campaign_target_filters():

@@ -13,7 +13,7 @@ from critgroups.jsonio import fixture_path
 
 MODULES = (critgroups, linalg, graphs, verify, enumeration, jsonio, cli)
 COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "_MinorTable",
-           "minor_gcd_sequence")
+           "minor_gcd_sequence", "_Instance")
 
 
 @pytest.fixture
@@ -21,11 +21,12 @@ def calls(monkeypatch) -> dict[str, int]:
     """Counts calls of COUNTED through every module attribute that holds them.
 
     ``_MinorTable`` counts the minor tables built: each one scans the
-    minors of one matrix.
+    minors of one matrix.  ``_Instance`` counts the validated
+    (graph, structure) instances that ``verify`` builds.
     """
     counts = dict.fromkeys(COUNTED, 0)
     for name in COUNTED:
-        original = getattr(graphs, name, None) or getattr(linalg, name)
+        original = getattr(graphs, name, None) or getattr(linalg, name, None) or getattr(verify, name)
 
         def counting(*args, name=name, original=original, **kwargs):
             counts[name] += 1
@@ -43,18 +44,19 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     # one validation at the boundary plus the self-check of each of the 7
-    # reductions; SNF(L) once, SNF(L') per vertex, which also gives D_k(L'),
-    # the SNFs of the two MINORFACTS_B submatrices of L and the SNF of L
-    # that gives MINORFACTS_A its D_k, apart from the instance's.  One minor
-    # table of L serves the profile of both matrix checks and the pivot scan
-    # that gives D_k(L) and every vertex its D_k*; MINORFACTS_C scans its
-    # corner submatrix in a table of its own
+    # reductions; SNF(L) once, which also gives MINORFACTS_A its D_k,
+    # SNF(L') per vertex, which also gives D_k(L'), and the SNFs of the two
+    # MINORFACTS_B submatrices of L.  One minor table of L serves the
+    # profile of both matrix checks and the pivot scan that gives D_k(L)
+    # and every vertex its D_k*; MINORFACTS_C scans its corner submatrix in
+    # a table of its own
     assert calls == {
         "validate_structure": 8,
-        "smith_normal_form": 11,
+        "smith_normal_form": 10,
         "star_clique_reduction": 7,
         "_MinorTable": 2,
         "minor_gcd_sequence": 0,
+        "_Instance": 1,
     }
 
 
@@ -63,17 +65,20 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     assert summary.cases == 100
     # per case: the case matrix's table, shared by its two checks, its
     # MINORFACTS_C corner table, its SNF for MINORFACTS_A and the SNFs of
-    # its two MINORFACTS_B submatrices; one instance (validation, SNF(L),
-    # the table of L) and one reduction (self-check, SNF(L')); the table
-    # of L with v last for the minors conjecture, which is the table of L
-    # when v is the last vertex (28 cases).  Two cases draw the previous
-    # case's structure at another vertex and reuse its instance.
+    # its two MINORFACTS_B submatrices.  The 100 structure cases draw 43
+    # distinct pairs at 78 distinct (pair, vertex) draws, and the campaign
+    # builds one instance per pair drawn: one validation, SNF(L) and the
+    # table of L for the pivot scan, which also gives CONJ_MINORS on L with
+    # v last; and one reduction per distinct draw (self-check, SNF(L')).
+    # 33 draws of a kept pair at a new vertex validate the pair again,
+    # because the reduction's own memo then holds another pair.
     assert calls == {
-        "validate_structure": 198,
-        "smith_normal_form": 498,
-        "star_clique_reduction": 100,
-        "_MinorTable": 370,
+        "validate_structure": 154,
+        "smith_normal_form": 421,
+        "star_clique_reduction": 78,
+        "_MinorTable": 243,
         "minor_gcd_sequence": 0,
+        "_Instance": 43,
     }
 
 
@@ -94,4 +99,5 @@ def test_reduction_chain_validates_each_pair_once(calls, simple7):
         "star_clique_reduction": k,
         "_MinorTable": 0,
         "minor_gcd_sequence": 0,
+        "_Instance": 0,
     }
