@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_instance(args):
     """The validated instance of the graph and structure named on the command line."""
-    from .verify import instance_of
+    from .verify import _Instance
 
     g = jsonio.load_graph(args.graph)
     if getattr(args, "laplacian", False):
@@ -60,7 +60,7 @@ def _load_instance(args):
             raise StructureError(
                 f"structure has {s.n} vertices but the graph has {g.n}"
             )
-    return instance_of(g, s)
+    return _Instance(g, s)
 
 
 def _vertex_index(args, n: int) -> int:
@@ -209,14 +209,15 @@ def cmd_verify(args) -> int:
         NOT_APPLICABLE,
         PASS,
         PROVEN_IDS,
+        _CONJ_ALPHA,
+        _OPERATION_PROPERTIES,
         _matrix_reports,
-        check_conjecture_alpha,
+        _operation_reports,
         check_conjecture_minors,
-        verify_operation_theorems,
     )
 
     inst = _load_instance(args)
-    g, s = inst.graph, inst.structure
+    g = inst.graph
     if args.all_vertices:
         vertices = list(range(g.n))
     else:
@@ -231,8 +232,7 @@ def cmd_verify(args) -> int:
     _print_reports(matrix_reports, "matrix checks on L", json_bucket)
 
     for v in vertices:
-        reports = list(verify_operation_theorems(g, s, v))
-        reports.append(check_conjecture_alpha(g, s, v))
+        reports = _operation_reports(inst, v, (*_OPERATION_PROPERTIES, _CONJ_ALPHA))
         all_reports.extend(reports)
         _print_reports(reports, f"reduction checks at vertex {v + 1}", json_bucket)
 

@@ -337,15 +337,23 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
     :func:`operation_matrix_consistency`).  It is validated here, and
     recorded as valid, so reducing or factoring it next validates nothing.
     """
-    global _last_valid
     n = g.n
     if n < 2:
         raise GraphError("reduction needs at least two vertices")
     if not 0 <= v < n:
         raise IndexError(f"vertex {v} out of range 0..{n - 1}")
     _ensure_valid(g, s)
+    return _reduce(g, s, v)
+
+
+def _reduce(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
+    """:func:`star_clique_reduction` of a pair already validated, at a vertex in range.
+
+    The output is still validated and recorded as valid.
+    """
+    global _last_valid
     dv = s.d[v]
-    others = [i for i in range(n) if i != v]
+    others = [i for i in range(g.n) if i != v]
     star = g.mult[v]  # star[i] = mult[i][v], as mult is symmetric
     new_mult: list[tuple[int, ...]] = []
     for a, i in enumerate(others):

@@ -15,26 +15,29 @@ Indices are 0-based throughout.  A "minor" here is the (unsigned)
 determinant of the submatrix selected by a row set and a column set of
 equal size; no cofactor sign is applied.
 
-Minor GCDs come from scans over explicitly evaluated minors.  The scans
-of one matrix share a minor table that evaluates a row set at a time: all
-the k x k minors on k rows in one Laplace step along the last row, from
-the stored (k-1) x (k-1) minors on the other k - 1 rows, and folds them
-into GCDs with one ``math.gcd`` call.  Sizes 1, 2, ... are stored while
-each has at most 2**16 minors (every size of a 10 x 10 matrix), so no
-stored minor is evaluated twice.  Above that, the first size is expanded
-one minor at a time from the last stored one, and larger ones are
-computed by Bareiss elimination.  For a symmetric matrix of 5 or more
-rows, such as a structure matrix, the table evaluates each pair of
-transposed minors once: row set R keeps the minors on column sets
-C >= R, and C >= R implies C - {c} >= R[:-1], so the expansion reads
-only kept minors.
+Minor GCDs come from one fold over explicitly evaluated minors.  For a
+size k it gives D_k and, per tracked row, the GCD of the k x k minors
+through that row and a given column: D_k* tracks the last row with the
+last column, and the D_k* of index i moved last tracks row i with column
+i.  The folds of one matrix share a minor table that evaluates a row set
+at a time: all the k x k minors on k rows in one Laplace step along the
+last row, from the stored (k-1) x (k-1) minors on the other k - 1 rows,
+folded with one ``math.gcd`` call.  Sizes 1, 2, ... are stored while each
+has at most 2**16 minors (every size of a 10 x 10 matrix), so no stored
+minor is evaluated twice.  Above that, a row set's minors are evaluated
+one at a time and dropped once folded: the first such size by expansion
+from the last stored one, larger ones by Bareiss elimination.  For a
+symmetric matrix of 5 or more rows, such as a structure matrix, the table
+evaluates each pair of transposed minors once: row set R keeps the
+minors on column sets C >= R, and C >= R implies C - {c} >= R[:-1], so
+the expansion reads only kept minors.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache, partial
-from itertools import combinations, islice, starmap
+from itertools import combinations, filterfalse, starmap
 from math import comb, gcd
 from operator import add, eq, mul, sub
 from typing import NamedTuple
@@ -299,7 +302,7 @@ def _plan(cols: int, k: int) -> _Plan:
 
 
 class _MinorTable:
-    """The minors of one matrix, evaluated a row set at a time and each at most once.
+    """The minors of one matrix, evaluated a row set at a time, and the GCDs folded from them.
 
     Sizes 1, 2, ... are stored as long as each has at most ``_TABLE_CAP``
     minors (every size of a 10 x 10 matrix), for the life of the table, as
@@ -307,9 +310,9 @@ class _MinorTable:
     of :func:`_layout`.  A stored row set is evaluated in one batch: size 1
     is the matrix row, and size k expands along its last row from the
     (k-1)-minors of the row set without it, evaluating that one first if
-    need be.  The first size that is not stored is evaluated one minor at
-    a time by the same expansion, larger ones by Bareiss elimination;
-    neither is kept.
+    need be.  Above the stored sizes a row set's minors are evaluated one
+    at a time, in the same order, and dropped once folded: the first such
+    size by the same expansion, larger ones by Bareiss elimination.
 
     A symmetric matrix (equal to its transpose, as every structure matrix
     is) has the minor on rows C and columns R equal to the one on rows R
@@ -322,21 +325,17 @@ class _MinorTable:
     difference of C and R if it lies before place t.  Otherwise the places
     before t agree, c_t >= r_t, and c_{t+1} > r_t moves into place t,
     unless t is the last place, where what is left is R[:-1].  The sets
-    of minors the scans fold (all of them, the corner ones, and those
-    whose row and column sets both contain index i) are each closed under
-    transposition, so the scans fold the kept minors only, and above the
-    stored sizes evaluate only C >= R (``_laplace`` transposes a request
-    with C < R).  Any other matrix keeps every column set; the code is
-    the same.  So does a symmetric matrix with fewer than
-    ``_SYMMETRIC_MIN_ROWS`` rows: its row sets hold at most 6 minors, and
-    the position lookup per batch and the bisection per picked fold cost
-    more than the minors the halving saves.
+    of minors the fold reads (all of them, and those whose row and column
+    sets both contain index i, the corner among them) are each closed
+    under transposition, so it reads the kept minors only.  Any other
+    matrix keeps every column set; the code is the same.  So does a
+    symmetric matrix with fewer than ``_SYMMETRIC_MIN_ROWS`` rows: its row
+    sets hold at most 6 minors, and the position lookup per batch and the
+    bisection per tracked row cost more than the minors the halving saves.
 
-    Scans fold whole stored row sets into their GCDs, and minors of the
-    other sizes one at a time.  At each size the corner scan (D_k*) comes
-    first and the full scan (D_k) starts from its GCD.  Both run over row
-    sets in lexicographic order and stop once the running GCD reaches 1.
-    ``profile()`` and ``pivot_sequences()`` are computed once and kept.
+    :meth:`fold` is the one scan: D_k and the GCDs of the minors through
+    given (row, column) pairs, one size at a time.  ``profile()`` and
+    ``pivot_sequences()`` read it, and each is computed once and kept.
     """
 
     def __init__(self, m: IntegerMatrix) -> None:
@@ -351,7 +350,8 @@ class _MinorTable:
             stored += 1
         self.stored = stored
         self.stores: list[dict] = [{} for _ in range(stored + 1)]
-        self.corner_g: dict[int, int] = {}
+        self.indices = tuple(range(self.rows))  # a tuple pool makes combinations() cheaper than a range
+        self.corner = {self.rows - 1: self.cols - 1}
         self._profile: MinorGcdProfile | None = None
         self._pivots: tuple | None = None
 
@@ -380,9 +380,7 @@ class _MinorTable:
         return list(minors)
 
     def _laplace(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
-        """One minor of the first size that is not stored, from the stored size below."""
-        if self.symmetric and ci < ri:
-            ri, ci = ci, ri  # the transposed minor is equal, and its row set keeps what it reads
+        """One kept minor of the first size that is not stored, from the stored size below."""
         k = len(ci)
         below = self._row_set(k - 1, ri[:-1])
         position = _plan(self.cols, k - 1).position
@@ -395,126 +393,68 @@ class _MinorTable:
                 total += y if (k - 1 - t) % 2 == 0 else -y
         return total
 
-    def _evaluator(self, k: int):
-        """How a k x k minor of a size that is not stored gets evaluated."""
-        if k > 2 and k - 1 == self.stored:
-            return self._laplace
-        return partial(_minor_det, self.entries)
+    def fold(self, k: int, columns: dict[int, int], g: int = 0) -> tuple[int, list[int]]:
+        """D_k folded into g and, per tracked row r, the GCD of the k x k minors
+        whose row set holds r and whose column set holds ``columns[r]``; the
+        list has one entry per row, and an untracked row's reads 1.
 
-    def _scan(self, k: int, pairs, g: int) -> int:
-        """Fold the k x k minors at (row set, column sets) pairs into g, one at a time; stop at 1.
-
-        The column sets are in lexicographic order, and a symmetric matrix
-        skips those below the row set.
+        On a symmetric matrix each tracked row tracks its own column.  The row
+        sets that hold a tracked row come first, in lexicographic order, until
+        D_k and every tracked GCD are 1; then, for D_k alone, the others, until
+        it is 1.  Each row set's kept minors are folded as one list.  ``g = 1``
+        asks for the tracked GCDs only.
         """
-        evaluate = self._evaluator(k)
-        for ri, col_sets in pairs:
-            for ci in islice(col_sets, bisect_left(col_sets, ri) if self.symmetric else 0, None):
-                g = gcd(g, evaluate(ri, ci))
-                if g == 1:
-                    return 1
-        return g
-
-    def _fold(self, k: int, row_sets, g: int, picks=None) -> int:
-        """Fold the kept k x k minors on each row set (those at ``picks`` if given) into g; stop at 1."""
-        symmetric = self.symmetric
-        for ri in row_sets:
-            minors = self._row_set(k, ri)
-            if picks is not None:
-                minors = map(minors.__getitem__, picks[: bisect_left(picks, len(minors))] if symmetric else picks)
-            g = gcd(g, *minors)
-            if g == 1:
-                return 1
-        return g
-
-    def corner_gcd(self, k: int) -> int:
-        """D_k*: GCD of the k x k minors through the last row and column."""
-        if k not in self.corner_g:
-            last_r = self.rows - 1
-            last_c = self.cols - 1
-            row_sets = (h + (last_r,) for h in combinations(range(last_r), k - 1))
-            if k <= self.stored:
-                g = self._fold(k, row_sets, 0, _plan(self.cols, k).containing[last_c])
-            else:
-                col_sets = [h + (last_c,) for h in combinations(range(last_c), k - 1)]
-                g = self._scan(k, ((ri, col_sets) for ri in row_sets), 0)
-            self.corner_g[k] = g
-        return self.corner_g[k]
-
-    def all_gcd(self, k: int) -> int:
-        """D_k: GCD of all k x k minors, starting from this size's corner GCD if it was scanned."""
-        g = self.corner_g.get(k)
-        if g == 1:
-            return 1
-        row_sets = combinations(range(self.rows), k)
-        if k <= self.stored:
-            return self._fold(k, row_sets, g or 0)
-        every = list(combinations(range(self.cols), k))
-        if g is None:
-            return self._scan(k, ((ri, every) for ri in row_sets), 0)
-        # the corner minors are in g already
-        last_r = self.rows - 1
-        other = list(combinations(range(self.cols - 1), k))
-        return self._scan(k, ((ri, other if ri[-1] == last_r else every) for ri in row_sets), g)
-
-    def pivot_gcds(self, k: int) -> tuple[int, list[int]]:
-        """D_k of a square matrix and, per index i, the GCD of the k x k
-        minors whose row and column sets both contain i.
-
-        The scan is lexicographic, evaluates every kept minor on a row set
-        (one at a time above the stored sizes, without keeping them) and
-        stops after the first row set at which all of these GCDs are 1.
-        """
-        n = self.rows
         if k <= self.stored:
             containing = _plan(self.cols, k).containing
-            row_set = partial(self._row_set, k)
+            row_set = self._row_set
         else:
             col_sets, position, containing = _layout(self.cols, k)
+            evaluate = self._laplace if k > 2 and k - 1 == self.stored else partial(_minor_det, self.entries)
 
-            def row_set(ri, evaluate=self._evaluator(k)):
+            def row_set(k, ri):
                 return [evaluate(ri, ci) for ci in col_sets[: position[ri] + 1 if self.symmetric else None]]
 
-        g, pivots = 0, [0] * n
-        symmetric = self.symmetric
-        for ri in combinations(range(n), k):
-            minors = row_set(ri)
-            g = gcd(g, *minors)
+        n, symmetric, indices = self.rows, self.symmetric, self.indices
+        gcds = [1] * n
+        for r in columns:
+            gcds[r] = 0
+        through = combinations(indices, k)
+        if len(columns) < n:
+            through = filterfalse(columns.keys().isdisjoint, through)
+        for ri in through:
+            minors = row_set(k, ri)
+            if g != 1:
+                g = gcd(g, *minors)
             at = minors.__getitem__
-            for i in ri:
-                if pivots[i] != 1:
-                    picks = containing[i]
+            for r in ri:
+                if gcds[r] != 1:
+                    picks = containing[columns[r]]
                     if symmetric:
                         picks = picks[: bisect_left(picks, len(minors))]
-                    pivots[i] = gcd(pivots[i], *map(at, picks))
-            if g == 1 and pivots.count(1) == n:
+                    gcds[r] = gcd(gcds[r], *map(at, picks))
+            if g == 1 and gcds.count(1) == n:
                 break
-        return g, pivots
-
-    def sequence(self) -> tuple[int, ...]:
-        """(D_0, ..., D_min); once D_k = 0 every larger minor vanishes, so the rest are 0."""
-        dk = [1]
-        for k in range(1, self.size + 1):
-            dk.append(0 if dk[-1] == 0 else self.all_gcd(k))
-        return tuple(dk)
-
-    def corner_sequence(self) -> tuple[int, ...]:
-        """(D_1*, ..., D_min*), each computed outright."""
-        return tuple(self.corner_gcd(k) for k in range(1, self.size + 1))
+        if g != 1:
+            for ri in combinations(filterfalse(columns.__contains__, indices), k):
+                g = gcd(g, *row_set(k, ri))
+                if g == 1:
+                    break
+        return g, gcds
 
     def profile(self) -> MinorGcdProfile:
-        """D_k, D_k* and the row and column GCDs.
+        """D_k, D_k* and the row and column GCDs, one fold per size.
 
-        Size by size, D_k* is scanned first and D_k continues from it, so
-        the minors of size k - 1 are in place before size k expands.  Once
-        D_k = 0 the dk scan stops; the dk_star values do not inherit zeros
-        that way and are each computed outright.
+        Once D_k = 0 every larger minor vanishes, so the remaining D_k are
+        0; the D_k* are folded all the same, so a wrong corner value still
+        shows against the Smith form.
         """
         if self._profile is None:
             dk, dk_star = [1], []
             for k in range(1, self.size + 1):
-                dk_star.append(self.corner_gcd(k))
-                dk.append(0 if dk[-1] == 0 else self.all_gcd(k))
+                zero = dk[-1] == 0
+                d, gcds = self.fold(k, self.corner, 1 if zero else 0)
+                dk.append(0 if zero else d)
+                dk_star.append(gcds[-1])
             m = self.matrix
             self._profile = MinorGcdProfile(
                 tuple(dk),
@@ -529,25 +469,28 @@ class _MinorTable:
         (D_1*, ..., D_n*) of the matrix with row and column i moved last.
 
         Moving i last permutes rows and columns alike, so its corner minors
-        are the minors whose row and column sets both contain i.  Once
-        D_k = 0 every larger minor vanishes, so the remaining values are 0.
+        are the minors whose row and column sets both contain i: the fold
+        tracks every (i, i).  Once D_k = 0 every larger minor vanishes, so
+        the remaining values are 0.
         """
         if self._pivots is None:
             if not self.matrix.is_square:
                 raise ValueError(f"pivot sequences need a square matrix, got {self.rows}x{self.cols}")
-            dk, columns = [1], []
-            for k in range(1, self.rows + 1):
-                g, pivots = self.pivot_gcds(k) if dk[-1] else (0, [0] * self.rows)
+            n = self.rows
+            diagonal = {i: i for i in range(n)}
+            dk, stars = [1], []
+            for k in range(1, n + 1):
+                g, pivots = self.fold(k, diagonal) if dk[-1] else (0, [0] * n)
                 dk.append(g)
-                columns.append(pivots)
-            self._pivots = (tuple(dk), tuple(zip(*columns)))
+                stars.append(pivots)
+            self._pivots = (tuple(dk), tuple(zip(*stars)))
         return self._pivots
 
 
 def minor_gcd_all(m: IntegerMatrix, k: int) -> int:
     """GCD of all k x k minors (the k-th determinantal divisor D_k).
 
-    D_0 = 1 by the empty-minor convention.  The scan over index pairs is
+    D_0 = 1 by the empty-minor convention.  The scan over row sets is
     lexicographic and stops as soon as the running GCD reaches 1.  Returns
     0 exactly when every k x k minor vanishes.
     """
@@ -556,7 +499,7 @@ def minor_gcd_all(m: IntegerMatrix, k: int) -> int:
         raise ValueError(f"k={k} out of range 0..{size}")
     if k == 0:
         return 1
-    return _MinorTable(m).all_gcd(k)
+    return _MinorTable(m).fold(k, {})[0]
 
 
 def minor_gcd_corner(m: IntegerMatrix, k: int) -> int:
@@ -567,22 +510,8 @@ def minor_gcd_corner(m: IntegerMatrix, k: int) -> int:
     size = min(m.rows, m.cols)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} out of range 1..{size}")
-    return _MinorTable(m).corner_gcd(k)
-
-
-def minor_gcd_sequence(m: IntegerMatrix) -> tuple[int, ...]:
-    """(D_0, ..., D_min) of one matrix; see :meth:`_MinorTable.sequence`."""
-    return _MinorTable(m).sequence()
-
-
-def minor_gcd_corner_sequence(m: IntegerMatrix) -> tuple[int, ...]:
-    """(D_1*, ..., D_min*) of one matrix; see :meth:`_MinorTable.corner_sequence`."""
-    return _MinorTable(m).corner_sequence()
-
-
-def minor_gcd_pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """D_k and every index's D_k* of a square matrix; see :meth:`_MinorTable.pivot_sequences`."""
-    return _MinorTable(m).pivot_sequences()
+    table = _MinorTable(m)
+    return table.fold(k, table.corner, 1)[1][-1]
 
 
 def minor_gcd_profile(m: IntegerMatrix) -> MinorGcdProfile:

@@ -25,27 +25,29 @@ evaluated by :meth:`_Property.report`.  Their inputs are computed once:
 a (graph, structure) pair becomes one validated :class:`_Instance` that
 holds L, SNF(L), the pivot scan of L and, per vertex, the reduction and
 everything derived from it; the last instance and the last minor table
-are kept, so consecutive checks of the same pair or matrix share them,
-and a fuzz campaign keeps one instance per pair it draws.
+are kept, so consecutive checks of the same pair or matrix share them.
+A fuzz campaign keeps one instance per pair it draws, and the CLI builds
+one and hands it to the operation family.
 
 Determinantal divisors come from two engines.  Minor scans: one minor
-table per matrix (``linalg._MinorTable``) evaluates each of its minors at
-most once.  It gives the matrix family D_k(M) and D_k*(M), its profile,
-and the operation family D_k(L) and every vertex's D_k*(L), its pivot
-scan; when the matrix checks run on L, as ``verify --all-vertices``
-does, both read the one table of L.  CONJ_MINORS on L with v last, in a
-fuzz campaign, reads the pivot scan too: it is an open statement, not a
-comparison of two engines.  Smith forms: D_k is the product of
-the first k invariant factors, which gives D_k(L') from SNF(L') and
-MINORFACTS_B the D_k of each deletion submatrix from its SNF, and
-MINORFACTS_A the D_k(M) it divides into D_k*(M) from SNF(M).  So
-THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L), MINORFACTS_A
-and MINORFACTS_B each compare a Smith form with a scan: a wrong value of
-either engine breaks them.  (D_k and D_k* from one scan could not break
-MINORFACTS_A: the corner minors are a subset of all the minors.)  The
-other checks that read D_k(M) take it from the scan.  MINORFACTS_C
-scans its corner submatrix in a table of its own; reading those minors
-from the table of M would make it hold by construction.
+table per matrix (``linalg._MinorTable``) evaluates each of its minors
+at most once, and one fold per size reads it.  The table's profile gives
+the matrix family D_k(M) and D_k*(M), and its pivot scan the operation
+family D_k(L) and every vertex's D_k*(L); when the matrix checks run on
+L, as ``verify --all-vertices`` does, both read the one table of L.
+CONJ_MINORS on L with v last, in a fuzz campaign, reads the pivot scan
+too: it is an open statement, not a comparison of two engines.  Smith
+forms: D_k is the product of the first k invariant factors, which gives
+D_k(L') from SNF(L') and MINORFACTS_B the D_k of each deletion submatrix
+from its SNF, and MINORFACTS_A the D_k(M) it divides into D_k*(M) from
+SNF(M).  So THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L),
+MINORFACTS_A and MINORFACTS_B each compare a Smith form with a scan: a
+wrong value of either engine breaks them.  (D_k and D_k* from one scan
+could not break MINORFACTS_A: the corner minors are a subset of all the
+minors.)  The other checks that read D_k(M) take it from the scan.
+MINORFACTS_C folds the corner GCDs of its corner submatrix in a table of
+its own (:func:`minor_gcd_corner_sequence`); reading those minors from
+the table of M would make it hold by construction.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ from .graphs import (
     ArithmeticalStructure,
     CriticalGroup,
     Multigraph,
-    star_clique_reduction,
+    _matrix,
+    _reduce,
     structure_matrix,
 )
 from .linalg import (
@@ -75,7 +78,6 @@ from .linalg import (
     chio_condense,
     desnanot_jacobi_residual,
     determinant,
-    minor_gcd_corner_sequence,
     row_gcd,
     smith_normal_form,
 )
@@ -172,6 +174,12 @@ def _pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int
     return _table(m).pivot_sequences()
 
 
+def minor_gcd_corner_sequence(m: IntegerMatrix) -> tuple[int, ...]:
+    """(D_1*, ..., D_min*) of m from a minor table of its own, which folds the corner GCDs only."""
+    table = _MinorTable(m)
+    return tuple(table.fold(k, table.corner, 1)[1][-1] for k in range(1, table.size + 1))
+
+
 def _snf_dk(snf: SnfResult) -> tuple[int, ...]:
     """(D_0, ..., D_min): the prefix products of the zero-padded Smith diagonal."""
     return tuple(accumulate(snf.diag, mul, initial=1))
@@ -241,12 +249,13 @@ class _Vertex:
         self.pivots = inst.pivots
         self.graph, self.structure, self.v = g, s, v
         self.n = g.n
-        self.matrix = structure_matrix(g, s, last_vertex=v)
+        # the instance has validated the pair: neither L with v last nor the reduction validates it again
+        self.matrix = _matrix(g, s, [*range(v), *range(v + 1, self.n), v])
         self.m = s.d[v]
         self.g = row_gcd(self.matrix, self.n - 1)
         self.gg = self.g * self.g
         self.alpha, self.order = inst.group.invariant_factors, inst.group.order
-        self.reduction = star_clique_reduction(g, s, v)
+        self.reduction = _reduce(g, s, v)
         self.reduced_matrix = self.reduction.matrix()
         self.snf_p = smith_normal_form(self.reduced_matrix)
         self.after = CriticalGroup.from_snf(self.snf_p, self.n - 1)

@@ -201,10 +201,10 @@ def test_usage_errors_exit_4(capsys):
 
 
 def test_internal_error_exits_5(capsys, monkeypatch):
-    def broken(g, s, v):
+    def broken(inst, v, properties):
         raise ArithmeticError("L has Smith rank 2, expected 3")
 
-    monkeypatch.setattr(verify, "verify_operation_theorems", broken)
+    monkeypatch.setattr(verify, "_operation_reports", broken)
     code, _, err = run_cli(capsys, "verify", NONSIMPLE_GRAPH, NONSIMPLE_B, "--vertex", "4")
     assert code == 5
     assert err == "internal error: ArithmeticError: L has Smith rank 2, expected 3\n"

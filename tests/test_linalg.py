@@ -27,7 +27,6 @@ from critgroups.linalg import (
     minor,
     minor_gcd_all,
     minor_gcd_corner,
-    minor_gcd_pivot_sequences,
     minor_gcd_profile,
     row_gcd,
     smith_normal_form,
@@ -71,6 +70,11 @@ def brute_minor_gcd(rows: list[list[int]], k: int, corner: bool = False) -> int:
 
 def random_rows(rng: random.Random, nr: int, nc: int, bound: int = 9) -> list[list[int]]:
     return [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+
+
+def pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """D_k and every index's D_k* of a square matrix, from a fresh minor table."""
+    return linalg._MinorTable(m).pivot_sequences()
 
 
 # the 3x3 example used for most frozen values; det is -3
@@ -262,16 +266,30 @@ def test_minor_gcd_range_checks():
         minor_gcd_corner(M3, 4)
 
 
-def test_minor_gcd_matches_brute_force():
+def test_minor_gcd_matches_brute_force(monkeypatch):
+    """Every D_k and D_k* through the public wrappers, against brute force at three caps.
+
+    At the default cap every size of these matrices is stored.  At 225 the
+    6 x 6 ones store sizes 1 and 2 and expand size 3 one minor at a time;
+    at 4 no size of a matrix with 3 or more rows and columns is stored.
+    Scaling by c makes every k x k minor a multiple of c**k, so those scans
+    run to the end.
+    """
     rng = random.Random(7)
-    for _ in range(60):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        rows = random_rows(rng, nr, nc, bound=6)
-        m = IntegerMatrix.from_rows(rows)
-        for k in range(min(nr, nc) + 1):
-            assert minor_gcd_all(m, k) == brute_minor_gcd(rows, k), (rows, k)
-            if k >= 1:
-                assert minor_gcd_corner(m, k) == brute_minor_gcd(rows, k, corner=True)
+    cases = [random_rows(rng, rng.randint(1, 5), rng.randint(1, 5), bound=6) for _ in range(60)]
+    cases += [[[c * x for x in row] for row in random_rows(rng, 6, 6, bound=6)] for c in (1, 1, 2, 3)]
+    oracle = []
+    for rows in cases:
+        size = min(len(rows), len(rows[0]))
+        oracle.append((IntegerMatrix.from_rows(rows), [brute_minor_gcd(rows, k) for k in range(size + 1)],
+                       [brute_minor_gcd(rows, k, corner=True) for k in range(1, size + 1)]))
+    for cap in (linalg._TABLE_CAP, 225, 4):
+        monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
+        for m, dk, dk_star in oracle:
+            assert [minor_gcd_all(m, k) for k in range(len(dk))] == dk, (cap, m.entries)
+            assert [minor_gcd_corner(m, k) for k in range(1, len(dk))] == dk_star, (cap, m.entries)
+        stored = [linalg._MinorTable(m).stored for m, _, _ in oracle[-4:]]
+        assert stored == {linalg._TABLE_CAP: [6] * 4, 225: [2] * 4, 4: [0] * 4}[cap]
 
 
 def test_minor_gcd_profile_matches_parts():
@@ -387,8 +405,8 @@ def test_each_minor_equals_cofactor_expansion(cap, monkeypatch):
     sign.  At the default cap every size of these matrices is stored; at
     a cap of 225 only sizes 1 and 2 of the 6 x 6 ones are, and their size
     3 is expanded one minor at a time.  A symmetric matrix of 5 or more
-    rows keeps, per row set R, only the minors on column sets C >= R, and
-    a size-3 request with C < R is answered from its transpose.
+    rows keeps, per row set R, only the minors on column sets C >= R, at
+    every size above 1, and only those are ever asked of the expansion.
     """
     monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
     rng = random.Random(5)
@@ -405,9 +423,9 @@ def test_each_minor_equals_cofactor_expansion(cap, monkeypatch):
                     expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri]) for ci in kept]
                     assert list(table._row_set(k, ri)) == expected, (rows, k, ri)
                 elif k > 2:
-                    every = list(combinations(range(nc), k))
-                    expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri]) for ci in every]
-                    assert [table._laplace(ri, ci) for ci in every] == expected, (rows, ri)
+                    kept = _kept_column_sets(nc, ri, table.symmetric)
+                    expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri]) for ci in kept]
+                    assert [table._laplace(ri, ci) for ci in kept] == expected, (rows, ri)
     assert sum(linalg._MinorTable(IntegerMatrix.from_rows(rows)).symmetric for rows in cases) == 4
 
 
@@ -451,7 +469,7 @@ def test_symmetric_profiles_and_pivots_match_oracle(cap, monkeypatch):
         prof = minor_gcd_profile(m)
         assert prof.dk == dk, rows
         assert prof.dk_star == tuple(brute_minor_gcd(rows, k, corner=True) for k in range(1, n + 1)), rows
-        assert minor_gcd_pivot_sequences(m) == (dk, tuple(
+        assert pivot_sequences(m) == (dk, tuple(
             tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
             for i in range(n))), rows
 
@@ -501,7 +519,7 @@ def test_scans_past_the_stored_sizes_match_oracle(complete_scan_cases, monkeypat
         assert (prof.dk, prof.dk_star) == (dk, dk_star), m.entries
         if m.is_square:
             rows = [list(r) for r in m.entries]
-            assert minor_gcd_pivot_sequences(m) == (dk, tuple(
+            assert pivot_sequences(m) == (dk, tuple(
                 tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, m.rows + 1))
                 for i in range(m.rows))), rows
     assert expanded
@@ -553,7 +571,7 @@ def test_complete_graph_laplacian_closed_forms(n):
     prof = table.profile()
     assert (prof.dk, prof.dk_star) == (dk, star)
     assert table.pivot_sequences() == (dk, (star,) * n)
-    assert minor_gcd_pivot_sequences(m) == (dk, (star,) * n)
+    assert pivot_sequences(m) == (dk, (star,) * n)
 
 
 def _move_last(rows: list[list[int]], i: int) -> list[list[int]]:
@@ -580,7 +598,7 @@ def test_pivot_sequences_match_oracle(cap, monkeypatch):
     monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
     for rows in _pivot_cases():
         n = len(rows)
-        dk, pivots = minor_gcd_pivot_sequences(IntegerMatrix.from_rows(rows))
+        dk, pivots = pivot_sequences(IntegerMatrix.from_rows(rows))
         assert dk == tuple(brute_minor_gcd(rows, k) for k in range(n + 1)), rows
         assert pivots == tuple(
             tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
@@ -624,7 +642,7 @@ def test_shared_table_matches_fresh_bareiss_tables(monkeypatch):
 
 def test_pivot_sequences_need_a_square_matrix():
     with pytest.raises(ValueError):
-        minor_gcd_pivot_sequences(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        pivot_sequences(IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
 # ---------------------------------------------------------------------------

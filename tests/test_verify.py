@@ -21,7 +21,7 @@ from critgroups.linalg import (
     determinant,
     minor_gcd_all,
     minor_gcd_corner,
-    minor_gcd_sequence,
+    minor_gcd_profile,
 )
 from critgroups.verify import (
     FAIL,
@@ -217,7 +217,6 @@ def test_snf_does_not_depend_on_which_vertex_is_last(simple7):
 
 def test_shared_values_equal_direct_calls(nonsimple_b):
     from critgroups.graphs import critical_group, star_clique_reduction, structure_matrix
-    from critgroups.linalg import minor_gcd_profile, minor_gcd_sequence
 
     g, s = nonsimple_b
     inst = verify.instance_of(g, s)
@@ -232,7 +231,7 @@ def test_shared_values_equal_direct_calls(nonsimple_b):
         assert record.after == critical_group(reduced.graph, reduced.structure)
         direct = minor_gcd_profile(l_v)
         assert (record.dk, record.dk_star) == (direct.dk, direct.dk_star)
-        assert record.dkp == minor_gcd_sequence(record.reduced_matrix)
+        assert record.dkp == minor_gcd_profile(record.reduced_matrix).dk
         assert inst.vertex(v) is record
     # an equal pair built anew is the same instance; another pair is not
     twin = (Multigraph(tuple(g.mult)), ArithmeticalStructure(tuple(s.d), tuple(s.r)))
@@ -322,7 +321,7 @@ def test_dkp_equals_the_minor_scan_of_the_reduced_matrix():
         inst = verify.instance_of(g, s)
         for v in range(g.n):
             record = inst.vertex(v)
-            assert record.dkp == minor_gcd_sequence(record.reduced_matrix), (s, v)
+            assert record.dkp == minor_gcd_profile(record.reduced_matrix).dk, (s, v)
             cases += 1
     assert cases > 3000
 
@@ -338,7 +337,7 @@ def test_minorfacts_b_submatrix_dk_equals_the_minor_scan():
     assert len(matrices) > 900
     for m in matrices:
         for sub in (m.submatrix(range(1, m.rows), range(m.cols)), m.submatrix(range(m.rows), range(1, m.cols))):
-            assert verify._snf_dk(smith_normal_form(sub)) == minor_gcd_sequence(sub), sub.entries
+            assert verify._snf_dk(smith_normal_form(sub)) == minor_gcd_profile(sub).dk, sub.entries
 
 
 def test_minorfacts_a_compares_the_smith_form_with_the_scan(monkeypatch):

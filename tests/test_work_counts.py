@@ -12,19 +12,29 @@ from critgroups import cli, enumeration, graphs, jsonio, linalg, verify
 from critgroups.jsonio import fixture_path
 
 MODULES = (critgroups, linalg, graphs, verify, enumeration, jsonio, cli)
-COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "_MinorTable",
-           "minor_gcd_sequence", "_Instance")
+COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "_reduce", "_MinorTable",
+           "_Instance")
 
 
 @pytest.fixture
 def calls(monkeypatch) -> dict[str, int]:
-    """Counts calls of COUNTED through every module attribute that holds them.
+    """Counts calls of COUNTED through every module attribute that holds them, and batched row sets.
 
+    ``_reduce`` counts the reductions computed, through
+    ``star_clique_reduction`` or by ``verify`` on a pair it has validated.
     ``_MinorTable`` counts the minor tables built: each one scans the
-    minors of one matrix.  ``_Instance`` counts the validated
+    minors of one matrix.  ``_batch`` counts the row sets those tables
+    evaluate in one batch.  ``_Instance`` counts the validated
     (graph, structure) instances that ``verify`` builds.
     """
-    counts = dict.fromkeys(COUNTED, 0)
+    counts = dict.fromkeys((*COUNTED, "_batch"), 0)
+    batch = linalg._MinorTable._batch
+
+    def counting_batch(table, k, ri):
+        counts["_batch"] += 1
+        return batch(table, k, ri)
+
+    monkeypatch.setattr(linalg._MinorTable, "_batch", counting_batch)
     for name in COUNTED:
         original = getattr(graphs, name, None) or getattr(linalg, name, None) or getattr(verify, name)
 
@@ -44,19 +54,22 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     # one validation at the boundary plus the self-check of each of the 7
-    # reductions; SNF(L) once, which also gives MINORFACTS_A its D_k,
-    # SNF(L') per vertex, which also gives D_k(L'), and the SNFs of the two
-    # MINORFACTS_B submatrices of L.  One minor table of L serves the
-    # profile of both matrix checks and the pivot scan that gives D_k(L)
-    # and every vertex its D_k*; MINORFACTS_C scans its corner submatrix in
-    # a table of its own
+    # reductions, which the instance computes without validating L again;
+    # SNF(L) once, which also gives MINORFACTS_A its D_k, SNF(L') per
+    # vertex, which also gives D_k(L'), and the SNFs of the two MINORFACTS_B
+    # submatrices of L.  One minor table of L serves the profile of both
+    # matrix checks and the pivot scan that gives D_k(L) and every vertex
+    # its D_k*; MINORFACTS_C scans its corner submatrix in a table of its
+    # own.  The batched row sets pin how far the scans run before their
+    # GCDs reach 1
     assert calls == {
         "validate_structure": 8,
         "smith_normal_form": 10,
-        "star_clique_reduction": 7,
+        "star_clique_reduction": 0,
+        "_reduce": 7,
         "_MinorTable": 2,
-        "minor_gcd_sequence": 0,
         "_Instance": 1,
+        "_batch": 117,
     }
 
 
@@ -69,16 +82,17 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     # distinct pairs at 78 distinct (pair, vertex) draws, and the campaign
     # builds one instance per pair drawn: one validation, SNF(L) and the
     # table of L for the pivot scan, which also gives CONJ_MINORS on L with
-    # v last; and one reduction per distinct draw (self-check, SNF(L')).
-    # 33 draws of a kept pair at a new vertex validate the pair again,
-    # because the reduction's own memo then holds another pair.
+    # v last; and one reduction per distinct draw (self-check, SNF(L')),
+    # which does not validate the instance's pair again: 43 + 78
+    # validations
     assert calls == {
-        "validate_structure": 154,
+        "validate_structure": 121,
         "smith_normal_form": 421,
-        "star_clique_reduction": 78,
+        "star_clique_reduction": 0,
+        "_reduce": 78,
         "_MinorTable": 243,
-        "minor_gcd_sequence": 0,
         "_Instance": 43,
+        "_batch": 1964,
     }
 
 
@@ -97,7 +111,8 @@ def test_reduction_chain_validates_each_pair_once(calls, simple7):
         "validate_structure": k + 1,
         "smith_normal_form": k + 1,
         "star_clique_reduction": k,
+        "_reduce": k,
         "_MinorTable": 0,
-        "minor_gcd_sequence": 0,
         "_Instance": 0,
+        "_batch": 0,
     }
