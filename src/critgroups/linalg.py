@@ -21,22 +21,22 @@ through that row and a given column: D_k* tracks the last row with the
 last column, and the D_k* of index i moved last tracks row i with column
 i.  The folds of one matrix share a minor table that evaluates a row set
 at a time: all the k x k minors on k rows in one Laplace step along the
-last row, from the stored (k-1) x (k-1) minors on the other k - 1 rows,
-folded with one ``math.gcd`` call.  Sizes 1, 2, ... are stored while each
-has at most 2**16 minors (every size of a 10 x 10 matrix), so no stored
-minor is evaluated twice.  Above that, a row set's minors are evaluated
-one at a time and dropped once folded: the first such size by expansion
-from the last stored one, larger ones by Bareiss elimination.  For a
-symmetric matrix of 5 or more rows, such as a structure matrix, the table
-evaluates each pair of transposed minors once: row set R keeps the
-minors on column sets C >= R, and C >= R implies C - {c} >= R[:-1], so
-the expansion reads only kept minors.
+last row, from the (k-1) x (k-1) minors on the other k - 1 rows, folded
+with one ``math.gcd`` call.  Sizes 1, 2, ... are stored while each has at
+most 2**16 minors (every size of a 10 x 10 matrix), so no stored minor is
+evaluated twice.  Each larger size keeps only its last row set; the folds
+walk row sets in lexicographic order, so the row sets that share their
+first k - 1 rows come one after another and read the same list below.
+For a symmetric matrix of 5 or more rows, such as a structure matrix,
+the table evaluates each pair of transposed minors once: row set R keeps
+the minors on column sets C >= R, and C >= R implies C - {c} >= R[:-1],
+so the expansion reads only kept minors.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, filterfalse, starmap
 from math import comb, gcd
 from operator import add, eq, mul, sub
@@ -251,31 +251,19 @@ def row_gcd(m: IntegerMatrix, i: int) -> int:
     return g
 
 
-_TABLE_CAP = 1 << 16  # a size with more minors than this is not stored, nor any larger one
+_TABLE_CAP = 1 << 16  # a size with more minors than this keeps one row set, as does any larger one
 _SYMMETRIC_MIN_ROWS = 5  # smaller symmetric matrices keep every column set (see _MinorTable)
-
-
-def _layout(cols: int, k: int) -> tuple[list, dict, list]:
-    """The k-subsets of the columns in the order of a row set's minors, and two indexes of them.
-
-    Size 1 is in column order (its minors are the matrix row itself).
-    Larger sizes are in descending lexicographic order, so the column sets
-    C >= R of a k-subset R are the first ``position[R] + 1``.
-    ``containing[c]`` lists, ascending, the positions of the column sets
-    that contain c.
-    """
-    col_sets = list(combinations(range(cols), k))[:: -1 if k > 1 else 1]
-    containing: list[list[int]] = [[] for _ in range(cols)]
-    for j, ci in enumerate(col_sets):
-        for c in ci:
-            containing[c].append(j)
-    return col_sets, {ci: j for j, ci in enumerate(col_sets)}, containing
 
 
 class _Plan(NamedTuple):
     """How the k x k minors on one row set are laid out and expanded, for one column count.
 
-    ``position`` and ``containing`` are those of :func:`_layout`.
+    The minors follow their column sets: size 1 in column order (its
+    minors are the matrix row itself), larger sizes in descending
+    lexicographic order, so the column sets C >= R of a k-subset R are the
+    first ``position[R] + 1``.  ``position`` maps each k-subset to its
+    place, and ``containing[c]`` lists, ascending, the places of the
+    column sets that contain c.
     ``terms`` are the Laplace terms along the last row, one per position
     t: (operation, the column ci[t] of every ci, the position of ci without
     ci[t] among the (k-1)-subsets); the first is the positive one, t = k-1.
@@ -289,7 +277,12 @@ class _Plan(NamedTuple):
 
 @cache
 def _plan(cols: int, k: int) -> _Plan:
-    col_sets, position, containing = _layout(cols, k)
+    col_sets = list(combinations(range(cols), k))[:: -1 if k > 1 else 1]
+    position = {ci: j for j, ci in enumerate(col_sets)}
+    containing: list[list[int]] = [[] for _ in range(cols)]
+    for j, ci in enumerate(col_sets):
+        for c in ci:
+            containing[c].append(j)
     terms = []
     if k > 1:
         below = _plan(cols, k - 1).position
@@ -307,12 +300,14 @@ class _MinorTable:
     Sizes 1, 2, ... are stored as long as each has at most ``_TABLE_CAP``
     minors (every size of a 10 x 10 matrix), for the life of the table, as
     ``{row_set: [minor, ...]}`` with the minors on a row set in the order
-    of :func:`_layout`.  A stored row set is evaluated in one batch: size 1
-    is the matrix row, and size k expands along its last row from the
-    (k-1)-minors of the row set without it, evaluating that one first if
-    need be.  Above the stored sizes a row set's minors are evaluated one
-    at a time, in the same order, and dropped once folded: the first such
-    size by the same expansion, larger ones by Bareiss elimination.
+    of :class:`_Plan`.  Each larger size keeps only the row set it
+    evaluated last, so it holds one list at a time.  Every row set is
+    evaluated in one batch: size 1 is the matrix row, and size k expands
+    along its last row from the (k-1)-minors of the row set without it,
+    evaluating that one first if need be.  The folds walk row sets in
+    lexicographic order, in which the row sets that extend one (k-1)-row
+    set come one after another, so a list kept above the stored sizes
+    serves all of them before it is replaced.
 
     A symmetric matrix (equal to its transpose, as every structure matrix
     is) has the minor on rows C and columns R equal to the one on rows R
@@ -349,19 +344,21 @@ class _MinorTable:
         while stored < self.size and comb(self.rows, stored + 1) * comb(self.cols, stored + 1) <= _TABLE_CAP:
             stored += 1
         self.stored = stored
-        self.stores: list[dict] = [{} for _ in range(stored + 1)]
+        self.stores: list[dict] = [{} for _ in range(self.size + 1)]
         self.indices = tuple(range(self.rows))  # a tuple pool makes combinations() cheaper than a range
         self.corner = {self.rows - 1: self.cols - 1}
         self._profile: MinorGcdProfile | None = None
         self._pivots: tuple | None = None
 
     def _row_set(self, k: int, ri: tuple[int, ...]) -> list[int]:
-        """The kept k x k minors on row set ri, in the order of :func:`_layout` (k stored)."""
+        """The kept k x k minors on row set ri, in the order of :class:`_Plan`."""
         if k == 1:
             return self.entries[ri[0]]
         store = self.stores[k]
         minors = store.get(ri)
         if minors is None:
+            if k > self.stored:
+                store.clear()
             minors = store[ri] = self._batch(k, ri)
         return minors
 
@@ -379,20 +376,6 @@ class _MinorTable:
             minors = map(op, minors, map(mul, map(row, cols), map(below, idx)))
         return list(minors)
 
-    def _laplace(self, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
-        """One kept minor of the first size that is not stored, from the stored size below."""
-        k = len(ci)
-        below = self._row_set(k - 1, ri[:-1])
-        position = _plan(self.cols, k - 1).position
-        row = self.entries[ri[-1]]
-        total = 0
-        for t, c in enumerate(ci):
-            x = row[c]
-            if x:
-                y = x * below[position[ci[:t] + ci[t + 1 :]]]
-                total += y if (k - 1 - t) % 2 == 0 else -y
-        return total
-
     def fold(self, k: int, columns: dict[int, int], g: int = 0) -> tuple[int, list[int]]:
         """D_k folded into g and, per tracked row r, the GCD of the k x k minors
         whose row set holds r and whose column set holds ``columns[r]``; the
@@ -401,20 +384,11 @@ class _MinorTable:
         On a symmetric matrix each tracked row tracks its own column.  The row
         sets that hold a tracked row come first, in lexicographic order, until
         D_k and every tracked GCD are 1; then, for D_k alone, the others, until
-        it is 1.  Each row set's kept minors are folded as one list.  ``g = 1``
-        asks for the tracked GCDs only.
+        it is 1.  Each row set's kept minors are batched and folded as one list.
+        ``g = 1`` asks for the tracked GCDs only.
         """
-        if k <= self.stored:
-            containing = _plan(self.cols, k).containing
-            row_set = self._row_set
-        else:
-            col_sets, position, containing = _layout(self.cols, k)
-            evaluate = self._laplace if k > 2 and k - 1 == self.stored else partial(_minor_det, self.entries)
-
-            def row_set(k, ri):
-                return [evaluate(ri, ci) for ci in col_sets[: position[ri] + 1 if self.symmetric else None]]
-
-        n, symmetric, indices = self.rows, self.symmetric, self.indices
+        containing = _plan(self.cols, k).containing
+        n, symmetric, indices, row_set = self.rows, self.symmetric, self.indices, self._row_set
         gcds = [1] * n
         for r in columns:
             gcds[r] = 0

@@ -270,7 +270,7 @@ def test_minor_gcd_matches_brute_force(monkeypatch):
     """Every D_k and D_k* through the public wrappers, against brute force at three caps.
 
     At the default cap every size of these matrices is stored.  At 225 the
-    6 x 6 ones store sizes 1 and 2 and expand size 3 one minor at a time;
+    6 x 6 ones store sizes 1 and 2 and keep one row set at a time above;
     at 4 no size of a matrix with 3 or more rows and columns is stored.
     Scaling by c makes every k x k minor a multiple of c**k, so those scans
     run to the end.
@@ -369,15 +369,18 @@ def test_profile_matches_oracle_on_complete_scans(complete_scan_cases, monkeypat
     assert batched
 
 
-def test_profile_without_stored_sizes_falls_back_to_bareiss(complete_scan_cases, monkeypatch):
+def test_profile_without_stored_sizes_keeps_one_row_set_per_size(complete_scan_cases, monkeypatch):
     # a cap of 4 stores no size of a matrix with at least 3 rows and columns,
     # which is the path every size past the stored ones of a large matrix takes
     monkeypatch.setattr(linalg, "_TABLE_CAP", 4)
     batched = _count_batches(monkeypatch)
     for m, dk, dk_star in complete_scan_cases:
-        prof = minor_gcd_profile(m)
+        batched.clear()
+        table = linalg._MinorTable(m)
+        prof = table.profile()
         assert (prof.dk, prof.dk_star) == (dk, dk_star), m.entries
-    assert not batched
+        assert {k for k, _ in batched} == set(range(2, table.size + 1)), m.entries
+        assert all(len(store) <= 1 for store in table.stores[table.stored + 1 :]), m.entries
 
 
 def _symmetric_rows(rng: random.Random, n: int, bound: int = 9) -> list[list[int]]:
@@ -397,16 +400,18 @@ def _kept_column_sets(cols: int, ri: tuple[int, ...], symmetric: bool) -> list[t
     return [ci for ci in reversed(list(combinations(range(cols), len(ri)))) if not symmetric or ci >= ri]
 
 
-@pytest.mark.parametrize("cap", [linalg._TABLE_CAP, 225])
+@pytest.mark.parametrize("cap", [linalg._TABLE_CAP, 225, 4])
 def test_each_minor_equals_cofactor_expansion(cap, monkeypatch):
     """Every minor the table evaluates, signed, against cofactor expansion.
 
     GCD oracles cannot see an error that keeps the GCD, such as a wrong
     sign.  At the default cap every size of these matrices is stored; at
-    a cap of 225 only sizes 1 and 2 of the 6 x 6 ones are, and their size
-    3 is expanded one minor at a time.  A symmetric matrix of 5 or more
-    rows keeps, per row set R, only the minors on column sets C >= R, at
-    every size above 1, and only those are ever asked of the expansion.
+    a cap of 225 only sizes 1 and 2 of the 6 x 6 ones are, and at 4 no
+    size of a matrix with 3 or more rows and columns is.  A size above the
+    stored ones keeps one row set at a time, and the row sets are asked
+    for in lexicographic order, as the fold asks.  A symmetric matrix of 5
+    or more rows keeps, per row set R, only the minors on column sets
+    C >= R, at every size above 1, and only those are ever expanded.
     """
     monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
     rng = random.Random(5)
@@ -416,16 +421,11 @@ def test_each_minor_equals_cofactor_expansion(cap, monkeypatch):
         nr, nc = len(rows), len(rows[0])
         table = linalg._MinorTable(IntegerMatrix.from_rows(rows))
         assert table.symmetric == (rows == [list(col) for col in zip(*rows)] and nr >= 5)
-        for k in range(1, min(table.stored + 1, table.size) + 1):
+        for k in range(1, table.size + 1):
             for ri in combinations(range(nr), k):
-                if k <= table.stored:
-                    kept = _kept_column_sets(nc, ri, table.symmetric)
-                    expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri]) for ci in kept]
-                    assert list(table._row_set(k, ri)) == expected, (rows, k, ri)
-                elif k > 2:
-                    kept = _kept_column_sets(nc, ri, table.symmetric)
-                    expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri]) for ci in kept]
-                    assert [table._laplace(ri, ci) for ci in kept] == expected, (rows, ri)
+                kept = _kept_column_sets(nc, ri, table.symmetric)
+                expected = [cofactor_det([[rows[i][j] for j in ci] for i in ri]) for ci in kept]
+                assert list(table._row_set(k, ri)) == expected, (rows, k, ri)
     assert sum(linalg._MinorTable(IntegerMatrix.from_rows(rows)).symmetric for rows in cases) == 4
 
 
@@ -454,7 +454,7 @@ def test_symmetric_profiles_and_pivots_match_oracle(cap, monkeypatch):
     """Profile and pivots of symmetric matrices and their one-entry neighbours against brute force.
 
     At the default cap every size is stored, at 225 the 6 x 6 ones store
-    sizes 1 and 2 and expand size 3 one minor at a time, and at 4 no size
+    sizes 1 and 2 and keep one row set at a time above, and at 4 no size
     of a matrix with 3 or more rows is stored.  The symmetric ones below 5
     rows keep every column set, as the neighbours do.
     """
@@ -499,19 +499,12 @@ def test_complete_symmetric_scan_evaluates_each_minor_pair_once(n, monkeypatch):
 def test_scans_past_the_stored_sizes_match_oracle(complete_scan_cases, monkeypatch):
     """A cap that stores sizes 1 and 2 of a 6 x 6 matrix but not size 3.
 
-    Size 3 is then expanded one minor at a time from the stored size 2,
-    and larger sizes are computed by Bareiss elimination, the path every
-    matrix of 11 or more rows and columns takes.
+    Size 3 is then batched from the stored size 2, and each size from 3
+    up keeps one row set at a time, the path every matrix of 11 or more
+    rows and columns takes above its stored sizes.
     """
     monkeypatch.setattr(linalg, "_TABLE_CAP", 225)
-    laplace = linalg._MinorTable._laplace
-    expanded = []
-
-    def counting(self, ri, ci):
-        expanded.append((ri, ci))
-        return laplace(self, ri, ci)
-
-    monkeypatch.setattr(linalg._MinorTable, "_laplace", counting)
+    batched = _count_batches(monkeypatch)
     partial_cases = [case for case in complete_scan_cases if linalg._MinorTable(case[0]).stored == 2]
     assert partial_cases
     for m, dk, dk_star in partial_cases:
@@ -522,7 +515,7 @@ def test_scans_past_the_stored_sizes_match_oracle(complete_scan_cases, monkeypat
             assert pivot_sequences(m) == (dk, tuple(
                 tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, m.rows + 1))
                 for i in range(m.rows))), rows
-    assert expanded
+    assert [k for k, _ in batched if k > 2]
 
 
 def test_profile_evaluates_each_minor_once(simple7, monkeypatch):
@@ -553,24 +546,27 @@ def test_profile_evaluates_each_minor_once(simple7, monkeypatch):
     assert not single
 
 
-@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("n", [9, 10, 11])
 def test_complete_graph_laplacian_closed_forms(n):
     """D_k and every D_k* of the Laplacian of K_n, against closed forms that use no engine.
 
     L = nI - J has D_k = n^(k-1) below full size, as K(K_n) = (Z/n)^(n-2),
     and D_n = 0.  The minors whose rows and columns both contain index i
-    give D_1* = n - 1 (the diagonal entry) and n^(k-1) above.  Every size
-    of these matrices is stored, so this reaches the batched expansion at
-    the largest stored sizes.
+    give D_1* = n - 1 (the diagonal entry) and n^(k-1) above.  None of
+    them reaches 1 below D_n = 0, so every scan runs to the end.  Every
+    size of K_9 and K_10 is stored, so they reach the batched expansion at
+    the largest stored sizes.  K_11 stores sizes 1 to 3 only, and each
+    larger size keeps one row set at a time.
     """
     m = IntegerMatrix.from_rows([[n - 1 if i == j else -1 for j in range(n)] for i in range(n)])
     table = linalg._MinorTable(m)
-    assert table.stored == n
+    assert table.stored == {9: 9, 10: 10, 11: 3}[n]
     dk = (1, *(n ** (k - 1) for k in range(1, n)), 0)
     star = (n - 1, *(n ** (k - 1) for k in range(2, n)), 0)
     prof = table.profile()
     assert (prof.dk, prof.dk_star) == (dk, star)
     assert table.pivot_sequences() == (dk, (star,) * n)
+    assert all(len(store) <= 1 for store in table.stores[table.stored + 1 :])
     assert pivot_sequences(m) == (dk, (star,) * n)
 
 
@@ -617,13 +613,12 @@ def _structure_matrix_9x9() -> IntegerMatrix:
     return structure_matrix(g, rng.choice(enumerate_structures(EnumerationQuery(g, 3))))
 
 
-def test_shared_table_matches_fresh_bareiss_tables(monkeypatch):
+def test_shared_table_matches_fresh_unstored_tables(monkeypatch):
     """profile() and pivot_sequences() of one table, in either order, against fresh tables.
 
     A cap of 3 stores no size of a matrix with at least 2 rows and columns,
-    so the fresh tables batch no row set and evaluate every minor outright
-    (Bareiss elimination from size 4), independent of the expansion and of
-    what another scan stored.
+    so the fresh tables keep one row set per size at a time and reuse
+    nothing another scan stored.
     """
     cases = [IntegerMatrix.from_rows(rows) for rows in _pivot_cases()]
     cases.append(_structure_matrix_9x9())

@@ -257,8 +257,9 @@ def random_multigraph_structures(seed: int, count: int) -> list[tuple[Multigraph
     return pairs[:count]
 
 
-def weighted_structures(seed: int, count: int) -> list[tuple[Multigraph, ArithmeticalStructure]]:
-    """Seeded structures with 3..8 vertices and r entries up to 3.
+def weighted_structures(seed: int, count: int, sizes: tuple[int, int] = (3, 8)
+                        ) -> list[tuple[Multigraph, ArithmeticalStructure]]:
+    """Seeded structures with sizes[0]..sizes[1] vertices and r entries up to 3.
 
     A random connected pattern c (a spanning tree plus a few edges, c_ij
     in 1..2) gives mult_ij = c_ij r_i r_j, so d_i = sum_j c_ij r_j^2.
@@ -266,7 +267,7 @@ def weighted_structures(seed: int, count: int) -> list[tuple[Multigraph, Arithme
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):
-        n = rng.randint(3, 8)
+        n = rng.randint(*sizes)
         r = [rng.randint(1, 3) for _ in range(n)]
         r[rng.randrange(n)] = 1
         c = {(i, rng.randrange(i)): rng.randint(1, 2) for i in range(1, n)}
@@ -309,6 +310,40 @@ def test_conj_minors_from_the_pivot_scan_equals_the_scan_of_l_with_v_last(monkey
             assert facts.m == m and (facts.dk, facts.dks) == (direct.dk, direct.dk_star), (s, v)
             cases += 1
     assert cases > 12000
+
+
+def test_pivot_scan_past_the_stored_sizes_matches_the_smith_forms():
+    """The pivot scan of an 11-vertex structure matrix against SNF(L) and every SNF(L').
+
+    Its table stores sizes 1 to 3 only, and its invariant factors are not
+    all 1, so the scans run far into the sizes that keep one row set at a
+    time.  D_k(L) is the product of the first k Smith factors.  L' at v is
+    the condensation of L with v last on its corner d_v, so by Sylvester's
+    identity each k x k minor of L' is d_v^(k-1) times the (k+1) x (k+1)
+    minor of L through row and column v on the matching other indices:
+    D_1* = d_v and D_{k+1}* = D_k(L') / d_v^(k-1).
+    """
+    from itertools import accumulate
+    from operator import mul
+
+    from critgroups.graphs import star_clique_reduction, structure_matrix
+    from critgroups.linalg import _MinorTable, smith_normal_form
+
+    ((g, s),) = weighted_structures(seed=0, count=1, sizes=(11, 11))
+    m = structure_matrix(g, s)
+    diag = smith_normal_form(m).diag
+    assert diag[-4:] == (16, 48, 1488, 0)
+    table = _MinorTable(m)
+    assert table.stored == 3
+    dk, pivots = table.pivot_sequences()
+    assert dk == tuple(accumulate(diag, mul, initial=1))
+    assert all(len(store) <= 1 for store in table.stores[table.stored + 1 :])
+    for v, star in enumerate(pivots):
+        dv = s.d[v]
+        snf_p = smith_normal_form(star_clique_reduction(g, s, v).matrix()).diag
+        dkp = tuple(accumulate(snf_p, mul, initial=1))
+        assert star[0] == dv, v
+        assert [star[k] * dv ** (k - 1) for k in range(1, g.n)] == list(dkp[1:]), v
 
 
 def test_dkp_equals_the_minor_scan_of_the_reduced_matrix():
