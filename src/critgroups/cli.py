@@ -405,6 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # integers of any length: lift the int<->str digit limit (Python 3.11+) while the command runs
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
@@ -423,6 +428,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -329,8 +329,9 @@ class _MinorTable:
     bisection per tracked row cost more than the minors the halving saves.
 
     :meth:`fold` is the one scan: D_k and the GCDs of the minors through
-    given (row, column) pairs, one size at a time.  ``profile()`` and
-    ``pivot_sequences()`` read it, and each is computed once and kept.
+    given (row, column) pairs, one size at a time.  ``profile()`` reads
+    it and keeps its result; ``pivot_sequences()`` reads it afresh on
+    each call, so its caller keeps what it needs.
     """
 
     def __init__(self, m: IntegerMatrix) -> None:
@@ -348,7 +349,6 @@ class _MinorTable:
         self.indices = tuple(range(self.rows))  # a tuple pool makes combinations() cheaper than a range
         self.corner = {self.rows - 1: self.cols - 1}
         self._profile: MinorGcdProfile | None = None
-        self._pivots: tuple | None = None
 
     def _row_set(self, k: int, ri: tuple[int, ...]) -> list[int]:
         """The kept k x k minors on row set ri, in the order of :class:`_Plan`."""
@@ -438,27 +438,18 @@ class _MinorTable:
             )
         return self._profile
 
-    def pivot_sequences(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """(D_0, ..., D_n) of a square matrix and, per index i, the
-        (D_1*, ..., D_n*) of the matrix with row and column i moved last.
+    def pivot_sequences(self) -> tuple[tuple[int, ...], ...]:
+        """Per index i of a square matrix, the (D_1*, ..., D_n*) of the
+        matrix with row and column i moved last.
 
         Moving i last permutes rows and columns alike, so its corner minors
         are the minors whose row and column sets both contain i: the fold
-        tracks every (i, i).  Once D_k = 0 every larger minor vanishes, so
-        the remaining values are 0.
+        tracks every (i, i), and folds no D_k.
         """
-        if self._pivots is None:
-            if not self.matrix.is_square:
-                raise ValueError(f"pivot sequences need a square matrix, got {self.rows}x{self.cols}")
-            n = self.rows
-            diagonal = {i: i for i in range(n)}
-            dk, stars = [1], []
-            for k in range(1, n + 1):
-                g, pivots = self.fold(k, diagonal) if dk[-1] else (0, [0] * n)
-                dk.append(g)
-                stars.append(pivots)
-            self._pivots = (tuple(dk), tuple(zip(*stars)))
-        return self._pivots
+        if not self.matrix.is_square:
+            raise ValueError(f"pivot sequences need a square matrix, got {self.rows}x{self.cols}")
+        diagonal = {i: i for i in range(self.rows)}
+        return tuple(zip(*(self.fold(k, diagonal, 1)[1] for k in range(1, self.rows + 1))))
 
 
 def minor_gcd_all(m: IntegerMatrix, k: int) -> int:

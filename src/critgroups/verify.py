@@ -33,21 +33,24 @@ Determinantal divisors come from two engines.  Minor scans: one minor
 table per matrix (``linalg._MinorTable``) evaluates each of its minors
 at most once, and one fold per size reads it.  The table's profile gives
 the matrix family D_k(M) and D_k*(M), and its pivot scan the operation
-family D_k(L) and every vertex's D_k*(L); when the matrix checks run on
-L, as ``verify --all-vertices`` does, both read the one table of L.
-CONJ_MINORS on L with v last, in a fuzz campaign, reads the pivot scan
-too: it is an open statement, not a comparison of two engines.  Smith
+family every vertex's D_k*(L); when the matrix checks run on L, as
+``verify --all-vertices`` does, both read the one table of L.  Smith
 forms: D_k is the product of the first k invariant factors, which gives
-D_k(L') from SNF(L') and MINORFACTS_B the D_k of each deletion submatrix
-from its SNF, and MINORFACTS_A the D_k(M) it divides into D_k*(M) from
-SNF(M).  So THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L),
-MINORFACTS_A and MINORFACTS_B each compare a Smith form with a scan: a
-wrong value of either engine breaks them.  (D_k and D_k* from one scan
-could not break MINORFACTS_A: the corner minors are a subset of all the
-minors.)  The other checks that read D_k(M) take it from the scan.
-MINORFACTS_C folds the corner GCDs of its corner submatrix in a table of
-its own (:func:`minor_gcd_corner_sequence`); reading those minors from
-the table of M would make it hold by construction.
+the operation family D_k(L) and D_k(L') from SNF(L) and SNF(L'),
+MINORFACTS_B the D_k of each deletion submatrix from its SNF, and
+MINORFACTS_A the D_k(M) it divides into D_k*(M) from SNF(M).  So
+THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L), MINORFACTS_A
+and MINORFACTS_B each compare a Smith form with a scan, and THM_DKL_B..D
+the Smith forms of two matrices: a wrong value of either engine breaks
+them.  (D_k and D_k* from one scan could not break MINORFACTS_A: the
+corner minors are a subset of all the minors.)  The other matrix checks
+take D_k(M) from the scan; prefix products of SNF(M) would make
+MINORFACTS_E hold by construction.  CONJ_MINORS on L with v last, in a
+fuzz campaign, reads the instance's D_k(L) and pivot scan: it is an open
+statement, not a comparison of two engines.  MINORFACTS_C folds the
+corner GCDs of its corner submatrix in a table of its own
+(:func:`minor_gcd_corner_sequence`); reading those minors from the table
+of M would make it hold by construction.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import accumulate
 from math import gcd
 from operator import mul
@@ -170,10 +173,6 @@ def _table(m: IntegerMatrix) -> _MinorTable:
     return _last_table
 
 
-def _pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    return _table(m).pivot_sequences()
-
-
 def minor_gcd_corner_sequence(m: IntegerMatrix) -> tuple[int, ...]:
     """(D_1*, ..., D_min*) of m from a minor table of its own, which folds the corner GCDs only."""
     table = _MinorTable(m)
@@ -200,12 +199,13 @@ class _Instance:
     """A (graph, structure) pair, validated once, and the invariants of its matrix L.
 
     Building it validates the pair (``structure_matrix`` does).  SNF(L)
-    serves every vertex: moving v last permutes rows and columns alike,
-    which leaves the Smith form unchanged.  So does the pivot scan of L,
-    run on first use in the minor table of L, the same table the matrix
-    checks used if they ran on L last.  The instance keeps the scan's two
-    sequences and no minor table, so a fuzz campaign can hold one
-    instance per pair it draws, for the whole campaign.
+    and ``dk``, its prefix products D_k(L), serve every vertex: moving v
+    last permutes rows and columns alike, which leaves the Smith form
+    unchanged.  So does the pivot scan of L, run on first use in the
+    minor table of L, the same table the matrix checks used if they ran
+    on L last.  The instance keeps the scan's sequences and no minor
+    table, so a fuzz campaign can hold one instance per pair it draws,
+    for the whole campaign.
     """
 
     def __init__(self, g: Multigraph, s: ArithmeticalStructure) -> None:
@@ -213,10 +213,11 @@ class _Instance:
         self.structure = s
         self.matrix = structure_matrix(g, s)
         self.snf = smith_normal_form(self.matrix)
+        self.dk = _snf_dk(self.snf)
         self.group = CriticalGroup.from_snf(self.snf, g.n)
-        # (D_0..D_n of L, per vertex v the D_1*..D_n* of L with v last); it refers
-        # to L, not to the instance, so the vertex records sharing it form no cycle
-        self.pivots = cache(partial(_pivot_sequences, self.matrix))
+        # per vertex v the D_1*..D_n* of L with v last; it refers to L, not to
+        # the instance, so the vertex records sharing it form no cycle
+        self.pivots = cache(lambda m=self.matrix: _table(m).pivot_sequences())
         self._vertices: dict[int, _Vertex] = {}
 
     @property
@@ -233,28 +234,28 @@ class _Instance:
 class _Vertex:
     """What the operation family compares at one vertex v of an instance.
 
-    ``matrix`` is L with v last, ``m`` = d[v] and ``g`` the gcd of its last
-    row; ``alpha``/``alpha_p`` are the invariant factors of L and of L'
-    (a_k = alpha[k-1]) and ``order``/``order_p`` the group orders, from
-    SNF(L) and ``snf_p`` = SNF(L').  ``dkp``, D_k(L'), is the prefix
-    products of ``snf_p``'s diagonal.  D_k(L) and D_k*(L with v last) come
-    from the instance's pivot scan of L, on first use; one scan serves
-    every vertex, since moving v last only permutes rows and columns
-    alike.  No SNF enters them, so THM_DKL_A..D compare values of
-    different engines.
+    ``matrix`` is L with v last, built on first use, ``m`` = d[v] and
+    ``g`` the gcd of its last row; ``alpha``/``alpha_p`` are the invariant
+    factors of L and of L' (a_k = alpha[k-1]) and ``order``/``order_p``
+    the group orders, from SNF(L) and ``snf_p`` = SNF(L').  ``dk``, D_k(L),
+    and ``dkp``, D_k(L'), are the prefix products of the two diagonals.
+    D_k*(L with v last) comes from the instance's pivot scan of L, on
+    first use; one scan serves every vertex, since moving v last only
+    permutes rows and columns alike.  No SNF enters it, so THM_DKL_A
+    compares values of different engines.
     """
 
     def __init__(self, inst: _Instance, v: int) -> None:
         g, s = inst.graph, inst.structure
-        self.pivots = inst.pivots
+        self.pivots, self.dk = inst.pivots, inst.dk
         self.graph, self.structure, self.v = g, s, v
         self.n = g.n
-        # the instance has validated the pair: neither L with v last nor the reduction validates it again
-        self.matrix = _matrix(g, s, [*range(v), *range(v + 1, self.n), v])
         self.m = s.d[v]
-        self.g = row_gcd(self.matrix, self.n - 1)
+        # row v of L is the last row of L with v last
+        self.g = row_gcd(inst.matrix, v)
         self.gg = self.g * self.g
         self.alpha, self.order = inst.group.invariant_factors, inst.group.order
+        # the instance has validated the pair: neither the reduction nor L with v last validates it again
         self.reduction = _reduce(g, s, v)
         self.reduced_matrix = self.reduction.matrix()
         self.snf_p = smith_normal_form(self.reduced_matrix)
@@ -279,14 +280,14 @@ class _Vertex:
         return self.gg * self.lower
 
     @cached_property
-    def dk(self) -> tuple[int, ...]:
-        """D_k(L), k = 0..n."""
-        return self.pivots()[0]
+    def matrix(self) -> IntegerMatrix:
+        """L with v last."""
+        return _matrix(self.graph, self.structure, [*range(self.v), *range(self.v + 1, self.n), self.v])
 
     @cached_property
     def dk_star(self) -> tuple[int, ...]:
         """D_k*(L) with v last, k = 1..n."""
-        return self.pivots()[1][self.v]
+        return self.pivots()[self.v]
 
     @cached_property
     def dkp(self) -> tuple[int, ...]:
@@ -575,7 +576,7 @@ def check_conjecture_minors(m: IntegerMatrix) -> PropertyReport:
 
 
 def _vertex_minors_report(record: _Vertex) -> PropertyReport:
-    """CONJ_MINORS on L with v last, its D_k and D_k* read from the pivot scan of L."""
+    """CONJ_MINORS on L with v last, its D_k read from SNF(L) and its D_k* from the pivot scan of L."""
     return _CONJ_MINORS.report(_MatrixFacts(record.matrix, record.dk, record.dk_star))
 
 

@@ -319,6 +319,67 @@ def test_verify_requires_a_vertex_choice(capsys):
 
 
 # ---------------------------------------------------------------------------
+# integers past the interpreter's int<->str digit limit
+
+BIG = "1" + "0" * 4999 + "7"  # 5,001 digits; Python 3.11 converts at most 4,300 by default
+
+
+@pytest.fixture
+def big_pair(tmp_path):
+    """A 2-vertex multigraph of multiplicity BIG with d = (BIG, BIG), r = (1, 1): K = Z/BIG."""
+    gpath, spath = tmp_path / "big.graph.json", tmp_path / "big.structure.json"
+    gpath.write_text(f'{{"n": 2, "edges": [[1, 2, {BIG}]]}}')
+    spath.write_text(f'{{"d": [{BIG}, {BIG}], "r": [1, 1]}}')
+    return str(gpath), str(spath)
+
+
+@pytest.fixture
+def digit_limit():
+    """A limit other than the default, which ``main`` must leave as it found it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4400)
+    yield 4400
+    sys.set_int_max_str_digits(saved)
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_cli_reads_and_prints_integers_of_any_length(capsys, tmp_path, big_pair, digit_limit):
+    code, out, err = run_cli(capsys, "critgroup", *big_pair)
+    assert (code, err) == (0, "")
+    assert f"critical group: Z/{BIG}\n" in out
+    assert _digit_limit() == digit_limit
+    code, out, _ = run_cli(capsys, "critgroup", "--json", *big_pair)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["critical_group"], payload["order"], payload["d"]) == (f"Z/{BIG}", BIG, [BIG, BIG])
+    code, out, _ = run_cli(capsys, "verify", *big_pair, "--all-vertices")
+    assert code == 0
+    assert "summary: 10 pass, 0 fail, 35 not applicable" in out
+    code, out, _ = run_cli(capsys, "apply-op", *big_pair, "--vertex", "1", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert f"input: 2 vertices, critical group Z/{BIG} (order {BIG})" in out
+    assert load_graph(tmp_path / "o.graph.json").n == 1
+    assert _digit_limit() == digit_limit
+
+
+def test_cli_restores_the_digit_limit_after_an_error_exit(capsys, monkeypatch, big_pair, digit_limit):
+    def broken(inst, v, properties):
+        raise ArithmeticError("broken")
+
+    monkeypatch.setattr(verify, "_operation_reports", broken)
+    assert run_cli(capsys, "verify", *big_pair, "--vertex", "1")[0] == 5
+    assert _digit_limit() == digit_limit
+    assert run_cli(capsys, "critgroup", big_pair[0] + ".missing")[0] == 2
+    assert _digit_limit() == digit_limit
+
+
+# ---------------------------------------------------------------------------
 # enumerate
 
 

@@ -72,8 +72,8 @@ def random_rows(rng: random.Random, nr: int, nc: int, bound: int = 9) -> list[li
     return [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
 
 
-def pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """D_k and every index's D_k* of a square matrix, from a fresh minor table."""
+def pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], ...]:
+    """Every index's D_k* of a square matrix, from a fresh minor table."""
     return linalg._MinorTable(m).pivot_sequences()
 
 
@@ -469,9 +469,9 @@ def test_symmetric_profiles_and_pivots_match_oracle(cap, monkeypatch):
         prof = minor_gcd_profile(m)
         assert prof.dk == dk, rows
         assert prof.dk_star == tuple(brute_minor_gcd(rows, k, corner=True) for k in range(1, n + 1)), rows
-        assert pivot_sequences(m) == (dk, tuple(
+        assert pivot_sequences(m) == tuple(
             tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
-            for i in range(n))), rows
+            for i in range(n)), rows
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -512,9 +512,9 @@ def test_scans_past_the_stored_sizes_match_oracle(complete_scan_cases, monkeypat
         assert (prof.dk, prof.dk_star) == (dk, dk_star), m.entries
         if m.is_square:
             rows = [list(r) for r in m.entries]
-            assert pivot_sequences(m) == (dk, tuple(
+            assert pivot_sequences(m) == tuple(
                 tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, m.rows + 1))
-                for i in range(m.rows))), rows
+                for i in range(m.rows)), rows
     assert [k for k, _ in batched if k > 2]
 
 
@@ -565,9 +565,9 @@ def test_complete_graph_laplacian_closed_forms(n):
     star = (n - 1, *(n ** (k - 1) for k in range(2, n)), 0)
     prof = table.profile()
     assert (prof.dk, prof.dk_star) == (dk, star)
-    assert table.pivot_sequences() == (dk, (star,) * n)
+    assert table.pivot_sequences() == (star,) * n
     assert all(len(store) <= 1 for store in table.stores[table.stored + 1 :])
-    assert pivot_sequences(m) == (dk, (star,) * n)
+    assert pivot_sequences(m) == (star,) * n
 
 
 def _move_last(rows: list[list[int]], i: int) -> list[list[int]]:
@@ -594,12 +594,12 @@ def test_pivot_sequences_match_oracle(cap, monkeypatch):
     monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
     for rows in _pivot_cases():
         n = len(rows)
-        dk, pivots = pivot_sequences(IntegerMatrix.from_rows(rows))
-        assert dk == tuple(brute_minor_gcd(rows, k) for k in range(n + 1)), rows
-        assert pivots == tuple(
+        table = linalg._MinorTable(IntegerMatrix.from_rows(rows))
+        assert table.pivot_sequences() == tuple(
             tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
             for i in range(n)
         ), rows
+        assert table.profile().dk == tuple(brute_minor_gcd(rows, k) for k in range(n + 1)), rows
 
 
 def _structure_matrix_9x9() -> IntegerMatrix:

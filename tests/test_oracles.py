@@ -8,7 +8,9 @@ Both are checked exactly along seeded chains whose entries reach
 thousands of bits, with determinants from a Bareiss elimination written
 here.  The closed forms on paths and cycles (Braun et al., "Counting
 arithmetical structures on paths and cycles", Discrete Math. 2018) give
-the critical group of every structure without any elimination.
+the critical group of every structure without any elimination, and the
+Laplacians of K_n and C_n have K(K_n) = (Z/n)^(n-2) and K(C_n) = Z/n at
+sizes of 30 to 60 vertices.
 """
 
 from __future__ import annotations
@@ -18,8 +20,15 @@ from math import gcd
 
 import pytest
 
+import critgroups.verify as verify
 from critgroups.enumeration import EnumerationQuery, enumerate_structures
-from critgroups.graphs import ArithmeticalStructure, Multigraph, critical_group, star_clique_reduction
+from critgroups.graphs import (
+    ArithmeticalStructure,
+    Multigraph,
+    critical_group,
+    laplacian_structure,
+    star_clique_reduction,
+)
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -118,3 +127,51 @@ def test_critical_groups_of_paths_and_cycles_match_closed_forms():
                     assert factors == ([ones] if ones > 1 else []), s
                 counts[kind] += 1
     assert counts == {"path": 195, "cycle": 2349}
+
+
+def complete_graph(n: int) -> Multigraph:
+    return Multigraph(tuple(tuple(int(i != j) for j in range(n)) for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_critical_groups_of_complete_graphs_and_cycles_match_closed_forms(n):
+    """K(K_n) = (Z/n)^(n-2) and K(C_n) = Z/n for the Laplacian structures."""
+    kn = complete_graph(n)
+    group = critical_group(kn, laplacian_structure(kn))
+    assert group.invariant_factors == (1, *[n] * (n - 2))
+    assert group.order == n ** (n - 2)  # Cayley's count of spanning trees
+    cn = Multigraph.cycle(n)
+    group = critical_group(cn, laplacian_structure(cn))
+    assert group.invariant_factors == (*[1] * (n - 2), n)
+    assert group.order == n
+
+
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_instance_dk_of_complete_graphs_matches_the_closed_form(n, monkeypatch):
+    """D_k(L) of the K_n Laplacian is (1, 1, n, ..., n^(n-2), 0), with no minor scan run.
+
+    It is what THM_DKL_B..D read; they pass at vertex 0 while any minor
+    table would raise.
+    """
+    def no_scan(m):
+        raise AssertionError("a minor scan ran")
+
+    monkeypatch.setattr(verify, "_MinorTable", no_scan)
+    kn = complete_graph(n)
+    inst = verify._Instance(kn, laplacian_structure(kn))
+    assert inst.dk == (1, *(n ** k for k in range(n - 1)), 0)
+    bounds = [p for p in verify._OPERATION_PROPERTIES if p.pid.value in ("THM_DKL_B", "THM_DKL_C", "THM_DKL_D")]
+    reports = verify._operation_reports(inst, 0, bounds)
+    assert [r.status for r in reports] == ["pass"] * 3
+    assert inst.vertex(0).dk is inst.dk
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_group_order_of_simple_graphs_at_40_vertices_is_the_reduced_laplacian_determinant(seed):
+    """|K| = det(L_0) on seeded 40-vertex simple graphs (r = 1), by the Bareiss elimination above."""
+    g, s = seeded_structure(random.Random(seed), 40, 1, 1)
+    assert max(max(row) for row in g.mult) == 1 and s.r == (1,) * 40
+    l0 = [[s.d[i] if i == j else -g.mult[i][j] for j in range(1, 40)] for i in range(1, 40)]
+    order = critical_group(g, s).order
+    assert order == bareiss_det(l0)
+    assert order.bit_length() > 150

@@ -283,9 +283,9 @@ def weighted_structures(seed: int, count: int, sizes: tuple[int, int] = (3, 8)
 def test_conj_minors_from_the_pivot_scan_equals_the_scan_of_l_with_v_last(monkeypatch):
     """The inputs that the campaign's CONJ_MINORS reads, and its report, against the public path.
 
-    The campaign reads D_k and D_k* from the instance's pivot scan of L;
-    the oracle is the profile of L with v last, scanned in a table of its
-    own, on which ``check_conjecture_minors`` reports.
+    The campaign reads D_k from the instance's SNF(L) and D_k* from its
+    pivot scan of L; the oracle is the profile of L with v last, scanned in
+    a table of its own, on which ``check_conjecture_minors`` reports.
     """
     from critgroups.graphs import structure_matrix
 
@@ -317,7 +317,8 @@ def test_pivot_scan_past_the_stored_sizes_matches_the_smith_forms():
 
     Its table stores sizes 1 to 3 only, and its invariant factors are not
     all 1, so the scans run far into the sizes that keep one row set at a
-    time.  D_k(L) is the product of the first k Smith factors.  L' at v is
+    time.  D_k(L), from the profile of the same table, is the product of
+    the first k Smith factors.  L' at v is
     the condensation of L with v last on its corner d_v, so by Sylvester's
     identity each k x k minor of L' is d_v^(k-1) times the (k+1) x (k+1)
     minor of L through row and column v on the matching other indices:
@@ -335,9 +336,9 @@ def test_pivot_scan_past_the_stored_sizes_matches_the_smith_forms():
     assert diag[-4:] == (16, 48, 1488, 0)
     table = _MinorTable(m)
     assert table.stored == 3
-    dk, pivots = table.pivot_sequences()
-    assert dk == tuple(accumulate(diag, mul, initial=1))
+    pivots = table.pivot_sequences()
     assert all(len(store) <= 1 for store in table.stores[table.stored + 1 :])
+    assert table.profile().dk == tuple(accumulate(diag, mul, initial=1))
     for v, star in enumerate(pivots):
         dv = s.d[v]
         snf_p = smith_normal_form(star_clique_reduction(g, s, v).matrix()).diag

@@ -9,16 +9,19 @@ The matrix family reads D_k(M) and D_k*(M) from the profile of its minor
 table, MINORFACTS_B the D_k of each deletion submatrix from its Smith
 form, which its ``snf(sub).diag`` scenarios reach, and MINORFACTS_A the
 D_k(M) it divides into D_k*(M) from SNF(M), which its ``snf(M).diag``
-scenarios reach.  The operation family reads D_k(L) and D_k*(L with v
-last) from the pivot scan of the table of L; its scenarios keep the ``profile.dk``/``profile.dk_star`` labels of
-those values.  It reads D_k(L') from the diagonal of SNF(L'), so its
-``snf(L').diag`` scenarios reach THM_DKL_A..D as well.  Every report --
-status, witness and ``degenerate`` flag -- must equal the one in
+scenarios reach.  The operation family reads D_k*(L with v last) from
+the pivot scan of the table of L; its scenarios keep the
+``profile.dk_star`` label of that value.  It reads D_k(L) from the
+diagonal of SNF(L) and D_k(L') from that of SNF(L'), so its
+``snf(L).diag`` scenarios reach THM_DKL_B..D as well, and its
+``snf(L').diag`` scenarios THM_DKL_A..D.  Every report -- status,
+witness and ``degenerate`` flag -- must equal the one in
 ``tests/golden/witnesses.json``, so the first failing comparison of each
 property keeps its k, its witness keys and its values.  To record the
 file again (only when a witness change is intended), run
 ``python tests/test_witnesses.py`` with ``src`` and ``tests`` on the
-path.
+path; it prints the scenarios it removes, changes and adds before it
+writes the file.
 """
 
 from __future__ import annotations
@@ -118,12 +121,9 @@ def _operation_changes(n: int):
             yield f"{label}.diag[{i}]", "smith_normal_form", (
                 lambda r, kind, m, i=i, rows=rows: r if m.rows != rows
                 else replace(r, diag=_at(r.diag, i, kind)))
-    for i in range(n + 1):
-        yield f"profile.dk[{i}]", "_MinorTable.pivot_sequences", (
-            lambda p, kind, m, i=i: (_at(p[0], i, kind), p[1]))
     for i in range(n):
         yield f"profile.dk_star[{i}]", "_MinorTable.pivot_sequences", (
-            lambda p, kind, m, i=i: (p[0], tuple(_at(star, i, kind) for star in p[1])))
+            lambda p, kind, m, i=i: tuple(_at(star, i, kind) for star in p))
 
 
 def _seam(seam: str):
@@ -228,8 +228,19 @@ def test_golden_covers_every_property():
     failures = [r[0].split() for reports in golden.values() for r in reports if isinstance(r, list)]
     assert {head[0] for head in failures} == {p.value for p in verify.PropertyId}
     assert any("degenerate" in head for head in failures)
+    # each instance fails every THM_DKL property in some scenario
+    dkl = {f"THM_DKL_{x}" for x in "ABCD"}
+    for iname in _instances():
+        failed = {r[0].split()[0] for name, reports in golden.items() if name.startswith(f"{iname} ")
+                  for r in reports if isinstance(r, list)}
+        assert dkl <= failed, iname
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     data = dict(scenarios())
+    for verb, names in (("removed", [k for k in old if k not in data]),
+                        ("changed", [k for k in data if k in old and data[k] != old[k]]),
+                        ("added", [k for k in data if k not in old])):
+        print(f"{verb} ({len(names)}):", *names, sep="\n  ")
     GOLDEN.write_text(json.dumps(data, separators=(",", ":")).replace('],"', '],\n"') + "\n")

@@ -12,8 +12,8 @@ from critgroups import cli, enumeration, graphs, jsonio, linalg, verify
 from critgroups.jsonio import fixture_path
 
 MODULES = (critgroups, linalg, graphs, verify, enumeration, jsonio, cli)
-COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "_reduce", "_MinorTable",
-           "_Instance")
+COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "_reduce", "_matrix",
+           "_MinorTable", "_Instance")
 
 
 @pytest.fixture
@@ -55,18 +55,20 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
         assert cli.main(argv) == 0
     # one validation at the boundary plus the self-check of each of the 7
     # reductions, which the instance computes without validating L again;
-    # SNF(L) once, which also gives MINORFACTS_A its D_k, SNF(L') per
-    # vertex, which also gives D_k(L'), and the SNFs of the two MINORFACTS_B
-    # submatrices of L.  One minor table of L serves the profile of both
-    # matrix checks and the pivot scan that gives D_k(L) and every vertex
-    # its D_k*; MINORFACTS_C scans its corner submatrix in a table of its
-    # own.  The batched row sets pin how far the scans run before their
-    # GCDs reach 1
+    # SNF(L) once, which also gives MINORFACTS_A and the operation family
+    # D_k(L), SNF(L') per vertex, which also gives D_k(L'), and the SNFs of
+    # the two MINORFACTS_B submatrices of L.  L is built once and each L'
+    # once; no check reads L with v last, so it is never built.  One minor
+    # table of L serves the profile of both matrix checks and the pivot
+    # scan that gives every vertex its D_k*; MINORFACTS_C scans its corner
+    # submatrix in a table of its own.  The batched row sets pin how far
+    # the scans run before their GCDs reach 1
     assert calls == {
         "validate_structure": 8,
         "smith_normal_form": 10,
         "star_clique_reduction": 0,
         "_reduce": 7,
+        "_matrix": 8,
         "_MinorTable": 2,
         "_Instance": 1,
         "_batch": 117,
@@ -80,16 +82,18 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     # MINORFACTS_C corner table, its SNF for MINORFACTS_A and the SNFs of
     # its two MINORFACTS_B submatrices.  The 100 structure cases draw 43
     # distinct pairs at 78 distinct (pair, vertex) draws, and the campaign
-    # builds one instance per pair drawn: one validation, SNF(L) and the
-    # table of L for the pivot scan, which also gives CONJ_MINORS on L with
-    # v last; and one reduction per distinct draw (self-check, SNF(L')),
-    # which does not validate the instance's pair again: 43 + 78
-    # validations
+    # builds one instance per pair drawn: one validation, L, SNF(L) and the
+    # table of L for the pivot scan; and per distinct draw one reduction
+    # (self-check, L', SNF(L')), which does not validate the instance's
+    # pair again, and L with v last for CONJ_MINORS, which reads D_k(L)
+    # from SNF(L) and D_k* from the pivot scan: 43 + 78 validations and
+    # 43 + 2 * 78 matrices built
     assert calls == {
         "validate_structure": 121,
         "smith_normal_form": 421,
         "star_clique_reduction": 0,
         "_reduce": 78,
+        "_matrix": 199,
         "_MinorTable": 243,
         "_Instance": 43,
         "_batch": 1964,
@@ -106,12 +110,14 @@ def test_reduction_chain_validates_each_pair_once(calls, simple7):
     graphs.critical_group(g, s)
     # k + 1 validations for k reductions: the first pair where the chain
     # starts, then each output once, by the reduction that made it; the
-    # critical group and the next reduction of an output validate nothing
+    # critical group and the next reduction of an output validate nothing.
+    # Each critical group builds its L; a reduction builds no matrix
     assert calls == {
         "validate_structure": k + 1,
         "smith_normal_form": k + 1,
         "star_clique_reduction": k,
         "_reduce": k,
+        "_matrix": k + 1,
         "_MinorTable": 0,
         "_Instance": 0,
         "_batch": 0,
