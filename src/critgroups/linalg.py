@@ -9,7 +9,8 @@ needed to study integer matrices up to unimodular equivalence:
 * the corner variant D_k* restricted to minors that use the last row and
   last column,
 * Chio pivotal condensation and the Desnanot-Jacobi identity,
-* Smith normal form diagonals.
+* Smith normal form diagonals, eliminated on the primitive part: the
+  matrix divided by its content, the GCD of its entries.
 
 Indices are 0-based throughout.  A "minor" here is the (unsigned)
 determinant of the submatrix selected by a row set and a column set of
@@ -576,11 +577,32 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
     Pivoting picks the nonzero entry of minimum absolute value in the
     working submatrix; row/column reductions strictly shrink that minimum,
     so the elimination terminates.  The diagonal is then normalized to a
-    positive divisibility chain.
+    positive divisibility chain.  Three steps keep the integers small
+    without changing the diagonal:
+
+    * The content c, the GCD of all entries (D_1), is divided out first,
+      and the folded diagonal is multiplied by c at the end.  Dividing by
+      c > 0 keeps the order of absolute values and every floor quotient,
+      so the elimination takes the same steps on entries c times smaller,
+      and gcd and lcm commute with scaling: SNF(c M) = c SNF(M).
+    * The pivot search stops after the first row that holds a unit: no
+      nonzero entry is smaller, so the pivot is still the first minimum
+      in row-major order.
+    * Once column t is zero below the pivot it is zero above it too (the
+      earlier pivot rows are zero past their pivot), so a column
+      operation with column t changes the pivot row only: that row alone
+      is reduced modulo the pivot.
     """
-    a = [list(row) for row in m.entries]
+    c = 0
+    for row in m.entries:
+        c = gcd(c, *row)
+        if c == 1:
+            break
     rows, cols = m.rows, m.cols
     size = min(rows, cols)
+    if c == 0:
+        return SnfResult((0,) * size, 0)
+    a = [[x // c for x in row] for row in m.entries]
     diag: list[int] = []
     t = 0
     while t < size:
@@ -593,6 +615,8 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
                 if v != 0 and (best is None or -best_abs < v < best_abs):
                     best = (i, j)
                     best_abs = abs(v)
+            if best_abs == 1:
+                break
         if best is None:
             break
         bi, bj = best
@@ -617,12 +641,10 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
                     break
             if not clean:
                 continue
+            prow = a[t]
             for j in range(t + 1, cols):
-                q = a[t][j] // pivot
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j] != 0:
+                prow[j] %= pivot
+                if prow[j] != 0:
                     for row in a:
                         row[t], row[j] = row[j], row[t]
                     clean = False
@@ -631,7 +653,5 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
                 break
         diag.append(abs(a[t][t]))
         t += 1
-    _fold_divisibility(diag)
     rank = len(diag)
-    diag.extend([0] * (size - rank))
-    return SnfResult(tuple(diag), rank)
+    return SnfResult(tuple(c * x for x in _fold_divisibility(diag)) + (0,) * (size - rank), rank)

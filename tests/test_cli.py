@@ -243,6 +243,16 @@ def test_apply_op_upper_bound_example(capsys, tmp_path):
     assert s.d == (16, 52, 52)
     assert s.r == (1, 1, 1)
 
+    # n = 3: |K'| = 4 reaches g^2 |K| with g = 2, past the g^(2n-6) d[v]^(n-3) |K| = 1 form
+    gpath, spath = tmp_path / "p3.graph.json", tmp_path / "p3.structure.json"
+    gpath.write_text(json.dumps({"n": 3, "edges": [[1, 2, 1], [2, 3, 2]]}))
+    spath.write_text(json.dumps({"d": [1, 2, 4], "r": [2, 2, 1]}))
+    code, out, _ = run_cli(capsys, "apply-op", str(gpath), str(spath), "--vertex", "3", "--out", out_prefix)
+    assert code == 0
+    assert "critical group trivial (order 1)" in out
+    assert "r rescaled by 2" in out
+    assert "upper bound achieved: 4 (lower was 1)" in out
+
 
 def test_apply_op_json(capsys, tmp_path):
     out_prefix = str(tmp_path / "r7")

@@ -702,31 +702,82 @@ def test_desnanot_jacobi_index_checks():
 # Smith normal form
 
 
+# Contents the Smith form tests multiply their matrices by: SNF(c M) = c SNF(M).
+# The last two are far past a machine word.
+SNF_SCALES = (1, 2, 6, 10**40, 2**64 * (2**61 - 1))
+
+
+def scaled(rows, c: int) -> IntegerMatrix:
+    return IntegerMatrix.from_rows([[c * x for x in row] for row in rows])
+
+
 def test_snf_frozen_values():
-    assert smith_normal_form(L1).diag == (1, 1, 24, 0)
-    assert smith_normal_form(L1).rank == 3
-    assert smith_normal_form(IntegerMatrix.from_rows([[0]])).diag == (0,)
-    assert smith_normal_form(IntegerMatrix.from_rows([[0]])).rank == 0
-    assert smith_normal_form(IntegerMatrix.from_rows([[-5]])).diag == (5,)
-    assert smith_normal_form(IntegerMatrix.from_rows([[4, 0], [0, 6]])).diag == (2, 12)
-    assert smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]])).diag == (2, 4)
-    assert smith_normal_form(IntegerMatrix.from_rows([[0, 0], [0, 0], [0, 0]])).diag == (0, 0)
-    # classic: diag(2, 6, 12) is not in Smith form; its invariant factors are 2, 6, 12
-    m = IntegerMatrix.from_rows([[6, 0, 0], [0, 2, 0], [0, 0, 12]])
-    assert smith_normal_form(m).diag == (2, 6, 12)
+    frozen = [
+        (L1.entries, (1, 1, 24, 0)),
+        ([[0]], (0,)),
+        ([[-5]], (5,)),
+        ([[4, 0], [0, 6]], (2, 12)),
+        ([[2, 4], [6, 8]], (2, 4)),
+        ([[0, 0], [0, 0], [0, 0]], (0, 0)),
+        # classic: diag(2, 6, 12) is not in Smith form; its invariant factors are 2, 6, 12
+        ([[6, 0, 0], [0, 2, 0], [0, 0, 12]], (2, 6, 12)),
+    ]
+    for c in SNF_SCALES:
+        for rows, diag in frozen:
+            res = smith_normal_form(scaled(rows, c))
+            assert res.diag == tuple(c * x for x in diag), (rows, c)
+            assert res.rank == len(diag) - diag.count(0), (rows, c)
 
 
 def test_snf_of_wide_and_tall_matrices():
-    wide = IntegerMatrix.from_rows([[2, 4, 8]])
-    assert smith_normal_form(wide).diag == (2,)
-    tall = IntegerMatrix.from_rows([[3], [6], [9]])
-    assert smith_normal_form(tall).diag == (3,)
+    for c in SNF_SCALES:
+        assert smith_normal_form(scaled([[2, 4, 8]], c)).diag == (2 * c,)
+        assert smith_normal_form(scaled([[3], [6], [9]], c)).diag == (3 * c,)
 
 
-@given(matrices(min_dim=1, max_dim=5))
+def _snf_oracle_cases() -> list[list[list[int]]]:
+    """Seeded 1-6 x 1-6 matrices with entries in +-9: dense, with a zero row,
+    with a zero column, of lower rank, and zero."""
+    rng = random.Random(29)
+    cases = []
+    for nr in range(1, 7):
+        for nc in range(1, 7):
+            cases.append(random_rows(rng, nr, nc))
+            rows = random_rows(rng, nr, nc)
+            rows[rng.randrange(nr)] = [0] * nc
+            cases.append(rows)
+            rows = random_rows(rng, nr, nc)
+            j = rng.randrange(nc)
+            for row in rows:
+                row[j] = 0
+            cases.append(rows)
+            # rank at most 1, or row 0 + row 1 as the last row
+            u, v = random_rows(rng, 2, max(nr, nc), bound=3)
+            cases.append([[u[i] * v[j] for j in range(nc)] for i in range(nr)])
+            if nr >= 3:
+                rows = random_rows(rng, nr, nc, bound=4)
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+                cases.append(rows)
+            cases.append([[0] * nc for _ in range(nr)])
+    return cases
+
+
+def test_snf_of_scaled_matrices_matches_brute_force_minors():
+    """Prefix products of SNF(c M) are c^k D_k(M), D_k from every k x k minor, and the rank is M's."""
+    for rows in _snf_oracle_cases():
+        size = min(len(rows), len(rows[0]))
+        dk = [brute_minor_gcd(rows, k) for k in range(size + 1)]
+        rank = max(k for k in range(size + 1) if dk[k])
+        for c in SNF_SCALES:
+            res = smith_normal_form(scaled(rows, c))
+            assert [prod(res.diag[:k]) for k in range(size + 1)] == [c**k * d for k, d in enumerate(dk)], (rows, c)
+            assert res.rank == rank, (rows, c)
+
+
+@given(matrices(min_dim=1, max_dim=5), st.sampled_from(SNF_SCALES))
 @settings(max_examples=100)
-def test_snf_invariants(m):
-    res = smith_normal_form(m)
+def test_snf_invariants(m, c):
+    res = smith_normal_form(scaled(m.entries, c))
     size = min(m.rows, m.cols)
     assert len(res.diag) == size
     assert res.rank == sum(1 for x in res.diag if x != 0)
@@ -737,9 +788,9 @@ def test_snf_invariants(m):
         else:
             assert b == 0
     # the defining property: prefix products of the diagonal are the
-    # determinantal divisors
+    # determinantal divisors, those of c M being c^k D_k(M)
     for k in range(size + 1):
-        assert prod(res.diag[:k]) == minor_gcd_all(m, k)
+        assert prod(res.diag[:k]) == c**k * minor_gcd_all(m, k)
 
 
 @given(matrices(min_dim=1, max_dim=4))
