@@ -15,7 +15,9 @@ The star-clique reduction removes one vertex v: every pair of neighbors
 of v gets new parallel edges routed through v, all other multiplicities
 are scaled by d[v], and the r-vector is rescaled to be primitive again.
 It generalizes the classical smoothing of a degree-two vertex and works
-at any vertex with any d value.
+at any vertex with any d value.  The reduction is homogeneous of degree
+2 in (mult, d), so it runs on L divided by its content h and multiplies
+the result by h^2.
 """
 
 from __future__ import annotations
@@ -98,6 +100,8 @@ class Multigraph(Record):
         """
         edges = list(edges)
         for i, j, m in edges:
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in (i, j, m)):
+                raise GraphError(f"edge endpoints and multiplicities must be integers, got {(i, j, m)!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"edge endpoint out of range: ({i}, {j})")
             if i == j:
@@ -332,6 +336,15 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
     mult is symmetric, so mult'[i][j] is computed once, for i < j, and
     mirrored: half the big-int products of the multiplicities.
 
+    Every output entry is a 2 x 2 minor of L, so the map is homogeneous
+    of degree 2: reducing (h mult, h d, r) gives h^2 times the reduction
+    of (mult, d, r), with the same r'.  The formulas therefore run on L
+    divided by h, its content (the gcd of d and of every multiplicity),
+    and each result is multiplied by h^2, computed once.  Each reduction
+    multiplies the entries by d[v], so along a chain h is nearly the whole
+    entry: the products are then small by small, and the one big product
+    per entry, by h^2, is big by small and linear in the bit size.
+
     The output is again a valid arithmetical structure; its matrix L' is
     exactly the condensation of L on the corner entry d[v] (see
     :func:`operation_matrix_consistency`).  It is validated here, and
@@ -349,19 +362,28 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
 def _reduce(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
     """:func:`star_clique_reduction` of a pair already validated, at a vertex in range.
 
-    The output is still validated and recorded as valid.
+    It runs the formulas on the input divided by h, the content of L, and
+    multiplies each output entry by h^2.  The graph is connected on at
+    least two vertices, so h > 0.  The output is still validated and
+    recorded as valid.
     """
     global _last_valid
-    dv = s.d[v]
+    h = 0
+    for x, row in zip(s.d, g.mult):
+        h = gcd(h, x, *row)
+        if h == 1:
+            break
+    hh = h * h
+    dv = s.d[v] // h
     others = [i for i in range(g.n) if i != v]
-    star = g.mult[v]  # star[i] = mult[i][v], as mult is symmetric
+    star = [x // h for x in g.mult[v]]  # star[i] = mult[i][v] / h, as mult is symmetric
     new_mult: list[tuple[int, ...]] = []
     for a, i in enumerate(others):
         row, c = g.mult[i], star[i]
         # below the diagonal: column a of the rows before; above it: computed here, once
-        upper = [row[j] * dv + c * star[j] for j in others[a + 1 :]]
+        upper = [(row[j] // h * dv + c * star[j]) * hh for j in others[a + 1 :]]
         new_mult.append((*map(itemgetter(a), new_mult), 0, *upper))
-    new_d = tuple(s.d[i] * dv - star[i] * star[i] for i in others)
+    new_d = tuple((s.d[i] // h * dv - star[i] * star[i]) * hh for i in others)
     divisor = gcd(*(s.r[i] for i in others))
     new_r = tuple(s.r[i] // divisor for i in others)
     try:

@@ -1,6 +1,8 @@
-"""Shared builders for the two worked examples, and fresh package memos for every test."""
+"""Shared builders for the two worked examples and for seeded structures, and fresh package memos for every test."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -50,6 +52,28 @@ def nonsimple_a(nonsimple) -> tuple[Multigraph, ArithmeticalStructure]:
 @pytest.fixture
 def nonsimple_b(nonsimple) -> tuple[Multigraph, ArithmeticalStructure]:
     return nonsimple, ArithmeticalStructure(NONSIMPLE_B_D, NONSIMPLE_B_R)
+
+
+def seeded_structure(rng: random.Random, n: int, r_max: int, c_max: int) -> tuple[Multigraph, ArithmeticalStructure]:
+    """A structure that is valid by construction.
+
+    Weights c_ij >= 0 on a random spanning tree plus extra edges, and r
+    with one r_i = 1, give mult_ij = c_ij r_i r_j and d_i = sum_j c_ij r_j^2,
+    so d_i r_i = sum_j mult_ij r_j and gcd(r) = 1.
+    """
+    c = [[0] * n for _ in range(n)]
+    for k in range(1, n):
+        j = rng.randrange(k)
+        c[k][j] = c[j][k] = rng.randint(1, c_max)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not c[i][j] and rng.random() < 0.5:
+                c[i][j] = c[j][i] = rng.randint(1, c_max)
+    r = [rng.randint(1, r_max) for _ in range(n)]
+    r[rng.randrange(n)] = 1
+    mult = tuple(tuple(c[i][j] * r[i] * r[j] for j in range(n)) for i in range(n))
+    d = tuple(sum(c[i][j] * r[j] * r[j] for j in range(n)) for i in range(n))
+    return Multigraph(mult), ArithmeticalStructure(d, tuple(r))
 
 
 def forget_memos() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from math import gcd
 
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     NONSIMPLE_B_R,
     SIMPLE7_D,
     SIMPLE7_R,
+    seeded_structure,
 )
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,13 @@ def test_from_edges_errors():
         Multigraph.from_edges(2, [(1, 1, 1)])
     with pytest.raises(GraphError):
         Multigraph.from_edges(2, [(0, 1, 0)])
+    # True would be summed into the int 1, a float endpoint would index a list
+    with pytest.raises(GraphError, match="integers"):
+        Multigraph.from_edges(3, [(0, 1, True), (1, 2, 1)])
+    with pytest.raises(GraphError, match="integers"):
+        Multigraph.from_edges(3, [(0, 1.0, 1), (1, 2, 1)])
+    with pytest.raises(GraphError, match="integers"):
+        Multigraph.from_edges(2, [(0, 1, 1.5)])
 
 
 def test_from_edges_rejects_too_few_edges_before_allocating():
@@ -395,3 +404,56 @@ def test_reduced_matrix_is_the_condensation(nonsimple_a):
     rhs = chio_condense(structure_matrix(g, s, last_vertex=1))
     assert lhs == rhs
     assert isinstance(lhs, IntegerMatrix)
+
+
+# ---------------------------------------------------------------------------
+# the reduction on the primitive part: inputs whose content h exceeds 1
+
+
+def content(g: Multigraph, s: ArithmeticalStructure) -> int:
+    """h, the gcd of d and of every multiplicity: the content of L."""
+    return gcd(*s.d, *(x for row in g.mult for x in row))
+
+
+def scaled(g: Multigraph, s: ArithmeticalStructure, h: int):
+    """(h mult, h d, r): a structure whenever (mult, d, r) is one."""
+    mult = tuple(tuple(h * x for x in row) for row in g.mult)
+    return Multigraph(mult), ArithmeticalStructure(tuple(h * x for x in s.d), s.r)
+
+
+@pytest.mark.parametrize("h", [2, 6, 10**40])
+def test_reduction_of_scaled_input_is_h_squared_times_the_reduction(simple7, nonsimple_a, nonsimple_b, h):
+    # every multiplicity of the doubled path is even, but d is not: its content is 1
+    doubled_path = Multigraph.from_edges(3, [(0, 1, 2), (1, 2, 2)]), ArithmeticalStructure((1, 8, 1), (2, 1, 2))
+    for g, s in (simple7, nonsimple_a, nonsimple_b, doubled_path):
+        big_g, big_s = scaled(g, s, h)
+        assert content(big_g, big_s) == h * content(g, s)
+        for v in range(g.n):
+            res = star_clique_reduction(big_g, big_s, v)
+            mult, d, r, div = oracle_reduction(big_g, big_s, v)
+            assert (res.graph.mult, res.structure.d, res.structure.r, res.r_divisor) == (mult, d, r, div)
+            small = star_clique_reduction(g, s, v)
+            assert res.graph.mult == tuple(tuple(h * h * x for x in row) for row in small.graph.mult)
+            assert res.structure.d == tuple(h * h * x for x in small.structure.d)
+            assert res.structure.r == small.structure.r
+            assert res.r_divisor == small.r_divisor
+
+
+@pytest.mark.parametrize("seed, r_max", [(0, 1), (1, 1), (2, 2)])
+def test_reduction_chain_matches_oracles_on_the_divided_path(seed, r_max):
+    from critgroups.linalg import chio_condense
+
+    rng = random.Random(seed)
+    g, s = seeded_structure(rng, 12, r_max, 1)
+    contents = []
+    while g.n > 3:
+        v = rng.randrange(g.n)
+        contents.append(content(g, s))
+        res = star_clique_reduction(g, s, v)
+        mult, d, r, div = oracle_reduction(g, s, v)
+        assert (res.graph.mult, res.structure.d, res.structure.r, res.r_divisor) == (mult, d, r, div)
+        assert res.matrix() == chio_condense(structure_matrix(g, s, last_vertex=v))
+        g, s = res.graph, res.structure
+    # the last reductions divide out an h > 1, and their entries pass 1,000 bits
+    assert all(h > 1 for h in contents[-3:]), contents
+    assert max(x.bit_length() for x in s.d) > 1000

@@ -26,7 +26,6 @@ import pytest
 import critgroups.verify as verify
 from critgroups.enumeration import EnumerationQuery, enumerate_structures
 from critgroups.graphs import (
-    ArithmeticalStructure,
     Multigraph,
     critical_group,
     laplacian_structure,
@@ -34,6 +33,8 @@ from critgroups.graphs import (
     structure_matrix,
 )
 from critgroups.linalg import smith_normal_form
+
+from conftest import seeded_structure
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -55,28 +56,6 @@ def bareiss_det(rows: list[list[int]]) -> int:
                 row[j] = (row[j] * top[k] - f * top[j]) // prev
         prev = top[k]
     return sign * a[n - 1][n - 1]
-
-
-def seeded_structure(rng: random.Random, n: int, r_max: int, c_max: int) -> tuple[Multigraph, ArithmeticalStructure]:
-    """A structure that is valid by construction.
-
-    Weights c_ij >= 0 on a random spanning tree plus extra edges, and r
-    with one r_i = 1, give mult_ij = c_ij r_i r_j and d_i = sum_j c_ij r_j^2,
-    so d_i r_i = sum_j mult_ij r_j and gcd(r) = 1.
-    """
-    c = [[0] * n for _ in range(n)]
-    for k in range(1, n):
-        j = rng.randrange(k)
-        c[k][j] = c[j][k] = rng.randint(1, c_max)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not c[i][j] and rng.random() < 0.5:
-                c[i][j] = c[j][i] = rng.randint(1, c_max)
-    r = [rng.randint(1, r_max) for _ in range(n)]
-    r[rng.randrange(n)] = 1
-    mult = tuple(tuple(c[i][j] * r[i] * r[j] for j in range(n)) for i in range(n))
-    d = tuple(sum(c[i][j] * r[j] * r[j] for j in range(n)) for i in range(n))
-    return Multigraph(mult), ArithmeticalStructure(d, tuple(r))
 
 
 @pytest.mark.parametrize("seed, r_max, c_max", [(0, 1, 1), (1, 1, 1), (2, 3, 2), (3, 2, 3)])
