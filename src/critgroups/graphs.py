@@ -100,7 +100,9 @@ class Multigraph(Record):
         """
         edges = list(edges)
         for i, j, m in edges:
-            if any(isinstance(x, bool) or not isinstance(x, int) for x in (i, j, m)):
+            if bool in (type(i), type(j), type(m)) or not (
+                isinstance(i, int) and isinstance(j, int) and isinstance(m, int)
+            ):
                 raise GraphError(f"edge endpoints and multiplicities must be integers, got {(i, j, m)!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"edge endpoint out of range: ({i}, {j})")
@@ -196,7 +198,8 @@ class CriticalGroup(Record):
         """The group of a structure matrix on n vertices from its Smith normal form.
 
         Such a matrix always has rank n - 1, so the group is the product of
-        Z/a over the first n - 1 invariant factors.
+        Z/a over the first n - 1 invariant factors.  Their gcd c (or 1 if it is 0) divides
+        each, so |K| = c^(n-1) prod(a / c) on any list; along a chain c holds most bits.
         """
         if snf.rank != n - 1:
             raise ArithmeticError(
@@ -204,7 +207,8 @@ class CriticalGroup(Record):
                 f"expected {n - 1}; this contradicts the structure equations"
             )
         factors = snf.diag[: n - 1]
-        return cls(factors, prod(factors))
+        c = gcd(*factors) or 1
+        return cls(factors, c ** len(factors) * prod([f // c for f in factors]))
 
     def describe(self) -> str:
         nontrivial = [f for f in self.invariant_factors if f != 1]

@@ -3,8 +3,10 @@
 Each case runs ``critgroups`` in process and compares its stdout with
 ``tests/golden/<name>.out``.  Arguments ending in ``.json`` name bundled
 fixtures; ``{out}`` is a temporary output prefix, written as ``<OUT>`` in
-the golden files.  To record the files again (only when an output change
-is intended), run ``python tests/test_golden.py`` with ``src`` on the path.
+the golden files.  The files two ``apply-op`` cases write are compared
+with ``tests/golden/<stem>.graph.json`` and ``<stem>.structure.json``.
+To record the files again (only when an output change is intended), run
+``python tests/test_golden.py`` with ``src`` on the path.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ CASES = {
     **{f"fuzz-seed{seed}-json": f"fuzz --seed {seed} --cases 200 --json" for seed in range(5)},
 }
 
+# apply-op cases whose written files are compared too, with their golden file stems
+WRITTEN = {
+    "apply-op-nonsimple4-a": "apply-op-nonsimple4-a",
+    "apply-op-simple7-json": "apply-op-simple7",
+}
+SUFFIXES = (".graph.json", ".structure.json")
+
 
 def run_case(name: str, out_dir: Path) -> tuple[int, str]:
     argv = [
@@ -64,6 +73,14 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_apply_op_files_match_golden(name, tmp_path):
+    assert run_case(name, tmp_path)[0] == 0
+    for suffix in SUFFIXES:
+        written = (tmp_path / f"reduced{suffix}").read_bytes()
+        assert written == (GOLDEN / f"{WRITTEN[name]}{suffix}").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -71,5 +88,8 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             status, text = run_case(case, Path(tmp))
+            for suffix in SUFFIXES if case in WRITTEN else ():
+                written = (Path(tmp) / f"reduced{suffix}").read_bytes()
+                (GOLDEN / f"{WRITTEN[case]}{suffix}").write_bytes(written)
         assert status == 0, (case, status)
         (GOLDEN / f"{case}.out").write_text(text)

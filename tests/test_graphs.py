@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
-from math import gcd
+import re
+from enum import IntEnum
+from math import gcd, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critgroups.graphs import (
     ArithmeticalStructure,
@@ -20,7 +24,7 @@ from critgroups.graphs import (
     structure_matrix,
     validate_structure,
 )
-from critgroups.linalg import IntegerMatrix
+from critgroups.linalg import IntegerMatrix, SnfResult
 
 from conftest import (
     NONSIMPLE_A_D,
@@ -84,6 +88,23 @@ def test_from_edges_errors():
         Multigraph.from_edges(3, [(0, 1.0, 1), (1, 2, 1)])
     with pytest.raises(GraphError, match="integers"):
         Multigraph.from_edges(2, [(0, 1, 1.5)])
+
+
+class Small(IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def test_from_edges_accepts_int_subclasses_and_rejects_bool_float_and_str():
+    assert Multigraph.from_edges(3, [(0, Small.ONE, Small.TWO), (Small.ONE, 2, 1)]).mult == (
+        (0, 2, 0),
+        (2, 0, 1),
+        (0, 1, 0),
+    )
+    for edge in ((0, 1, True), (False, 1, 1), (0, 1.0, 1), (0, 1, 2.0), ("0", 1, 1), (0, 1, "2")):
+        message = f"edge endpoints and multiplicities must be integers, got {edge!r}"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            Multigraph.from_edges(2, [edge])
 
 
 def test_from_edges_rejects_too_few_edges_before_allocating():
@@ -261,6 +282,25 @@ def test_critical_group_of_laplacians():
     for n in range(2, 6):
         g = Multigraph.path(n)
         assert critical_group(g, laplacian_structure(g)).describe() == "trivial"
+
+
+@given(
+    st.lists(st.integers(-3, 3) | st.integers(-(10**30), 10**30), max_size=7),
+    st.sampled_from((1, -1, 10**40)),
+)
+@example([], 1)
+@example([0, 0, 0], 1)
+@example([0, 0, 0], 10**40)
+@example([1, 2, 0], 10**40)
+@example([-2, 4, -8], 10**40)
+@settings(max_examples=300)
+def test_order_from_snf_is_the_product_of_any_diagonal(diag, scale):
+    # the witness tests hand from_snf corrupted diagonals (an entry +1, or 0)
+    diag = tuple(x * scale for x in diag)
+    n = len(diag) + 1
+    group = CriticalGroup.from_snf(SnfResult(diag + (0,), n - 1), n)
+    assert group.invariant_factors == diag
+    assert group.order == prod(diag)
 
 
 def test_describe_drops_unit_factors():

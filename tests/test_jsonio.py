@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critgroups.graphs import (
     ArithmeticalStructure,
@@ -16,6 +20,7 @@ from critgroups.graphs import (
 from critgroups.jsonio import (
     SAFE_INT_LIMIT,
     FileFormatError,
+    _dumps,
     decode_int,
     encode_int,
     encode_value,
@@ -64,6 +69,30 @@ def test_decode_int_rejects_junk():
 def test_decode_int_accepts_decimal_strings_even_when_small():
     assert decode_int("42") == 42
     assert decode_int("-7") == -7
+
+
+DECIMAL = re.compile(r"-?[0-9]+")  # the strings decode_int accepts, as an oracle
+
+
+def check_decode_int_against_the_regex(s: str) -> None:
+    if DECIMAL.fullmatch(s):
+        assert decode_int(s) == int(s)
+    else:
+        with pytest.raises(FileFormatError):
+            decode_int(s)
+
+
+@pytest.mark.parametrize(
+    "s", ["-0", "0007", "--1", "-", "+1", " 1", "1\n", "1_0", "\u0663", "\u00b2", "-\u0663"]
+)
+def test_decode_int_accepts_what_the_regex_accepts(s):
+    check_decode_int_against_the_regex(s)
+
+
+@given(st.text(st.sampled_from("0123456789-+ _\n\t\u0663\u00b2x"), max_size=8) | st.text(max_size=8))
+@settings(max_examples=300)
+def test_decode_int_matches_the_regex_on_any_text(s):
+    check_decode_int_against_the_regex(s)
 
 
 def test_encode_value_recurses():
@@ -191,6 +220,57 @@ def test_save_and_load_files(tmp_path):
     assert gpath.read_text().endswith("\n")
     assert load_graph(gpath) == g
     assert load_structure(spath) == s
+
+
+EDGE_CASES = (SAFE_INT_LIMIT, SAFE_INT_LIMIT + 1, 10**3999)
+SAVED = {
+    "simple7-graph": lambda: load_graph(fixture_path("simple7.graph.json")),
+    "simple7-structure": lambda: load_structure(fixture_path("simple7.structure.json")),
+    "nonsimple4-graph": lambda: load_graph(fixture_path("nonsimple4.graph.json")),
+    "nonsimple4-structure-a": lambda: load_structure(fixture_path("nonsimple4.structure-a.json")),
+    "nonsimple4-structure-b": lambda: load_structure(fixture_path("nonsimple4.structure-b.json")),
+    "one-vertex-graph": lambda: Multigraph(((0,),)),
+    "one-vertex-structure": lambda: ArithmeticalStructure((0,), (1,)),
+    "big-graph": lambda: Multigraph.from_edges(4, [(k, k + 1, m) for k, m in enumerate(EDGE_CASES)]),
+    "big-structure": lambda: ArithmeticalStructure((0, *EDGE_CASES), (*EDGE_CASES, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED))
+def test_saved_text_is_json_dumps_with_indent_2(name, tmp_path):
+    obj = SAVED[name]()
+    graph = isinstance(obj, Multigraph)
+    save, to_obj = (save_graph, graph_to_obj) if graph else (save_structure, structure_to_obj)
+    save(tmp_path / "f.json", obj)
+    assert (tmp_path / "f.json").read_text() == json.dumps(to_obj(obj), indent=2) + "\n"
+
+
+def test_dumps_lays_out_negative_and_nested_entries_like_json():
+    row = [encode_int(x) for x in (0, -1, -SAFE_INT_LIMIT, -(SAFE_INT_LIMIT + 1), -(10**3999))]
+    for value in (row, [row, [], [7]], []):
+        assert _dumps(value, "") == json.dumps(value, indent=2)
+        assert f'{{\n  "k": {_dumps(value, "  ")}\n}}' == json.dumps({"k": value}, indent=2)
+
+
+def test_save_past_the_digit_limit_raises_and_keeps_the_old_file(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        huge = 10**4300
+        for save, small, big in (
+            (save_graph, Multigraph.from_edges(2, [(0, 1, 3)]), Multigraph.from_edges(2, [(0, 1, huge)])),
+            (save_structure, ArithmeticalStructure((1, 1), (1, 1)), ArithmeticalStructure((huge, 1), (1, 1))),
+        ):
+            path, fresh = tmp_path / f"{save.__name__}.json", tmp_path / f"{save.__name__}-new.json"
+            save(path, small)
+            before = path.read_bytes()
+            for target in (path, fresh):
+                with pytest.raises(ValueError):
+                    save(target, big)
+            assert path.read_bytes() == before
+            assert not fresh.exists()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bool_pair_is_rejected_and_its_int_twin_round_trips(tmp_path):
