@@ -79,8 +79,11 @@ def _emit_json(payload) -> None:
 
 
 def cmd_critgroup(args) -> int:
+    from .linalg import corner_divisors
+
     inst = _load_instance(args)
-    g, s, cg, snf, prof = inst.graph, inst.structure, inst.group, inst.snf, inst.profile
+    g, s, cg, snf, dk = inst.graph, inst.structure, inst.group, inst.snf, inst.dk
+    dk_star = corner_divisors(inst.matrix)
     if args.json:
         _emit_json(
             {
@@ -91,8 +94,8 @@ def cmd_critgroup(args) -> int:
                 "critical_group": cg.describe(),
                 "order": cg.order,
                 "snf_diagonal": list(snf.diag),
-                "dk": list(prof.dk),
-                "dk_star": list(prof.dk_star),
+                "dk": list(dk),
+                "dk_star": list(dk_star),
                 "matrix": jsonio.matrix_to_obj(inst.matrix),
             }
         )
@@ -103,8 +106,8 @@ def cmd_critgroup(args) -> int:
     print(f"critical group: {cg.describe()}")
     print(f"group order: {cg.order}")
     print(f"snf diagonal: {_seq(snf.diag)}")
-    print(f"D_k  (k=0..{len(prof.dk) - 1}): {_seq(prof.dk)}")
-    print(f"D_k* (k=1..{len(prof.dk_star)}): {_seq(prof.dk_star)}")
+    print(f"D_k  (k=0..{len(dk) - 1}): {_seq(dk)}")
+    print(f"D_k* (k=1..{len(dk_star)}): {_seq(dk_star)}")
     return 0
 
 

@@ -37,10 +37,10 @@ so the expansion reads only kept minors.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache
-from itertools import combinations, filterfalse, starmap
+from functools import cache, partial
+from itertools import accumulate, combinations, filterfalse, starmap
 from math import comb, gcd
-from operator import add, eq, mul, sub
+from operator import add, eq, index, mul, sub
 from typing import NamedTuple
 
 from ._record import Record
@@ -65,7 +65,12 @@ class IntegerMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows) -> IntegerMatrix:
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        """A matrix of the rows' entries, each converted without loss by ``operator.index``.
+
+        Ints, bools and other ``__index__`` types convert; floats, strings
+        and fractions raise TypeError.
+        """
+        return cls(tuple(tuple(map(index, row)) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> IntegerMatrix:
@@ -520,6 +525,20 @@ def _first_minor(entries, n: int, i: int, j: int) -> int:
     return _minor_det(entries, rows, cols)
 
 
+def _desnanot_residual(m: IntegerMatrix, det: int, first_minor, i1: int, i2: int, j1: int, j2: int) -> int:
+    """The residual of :func:`desnanot_jacobi_residual`, given det(m) and ``first_minor(i, j)``.
+
+    The caller validates the indices; ``first_minor`` may be cached, so a
+    caller that takes several residuals of m computes each determinant once.
+    """
+    n = m.rows
+    rows = tuple(r for r in range(n) if r not in (i1, i2))
+    cols = tuple(c for c in range(n) if c not in (j1, j2))
+    central = _minor_det(m.entries, rows, cols) if rows else 1
+    cross = first_minor(i1, j1) * first_minor(i2, j2) - first_minor(i1, j2) * first_minor(i2, j1)
+    return central * det - cross
+
+
 def desnanot_jacobi_residual(m: IntegerMatrix, i1: int, i2: int, j1: int, j2: int) -> int:
     """Residual of the Desnanot-Jacobi identity; identically 0 for ints.
 
@@ -536,15 +555,7 @@ def desnanot_jacobi_residual(m: IntegerMatrix, i1: int, i2: int, j1: int, j2: in
         raise ValueError("identity needs at least a 2x2 matrix")
     if not (0 <= i1 < i2 < n and 0 <= j1 < j2 < n):
         raise IndexError("need 0 <= i1 < i2 < n and 0 <= j1 < j2 < n")
-    entries = m.entries
-    rows = tuple(r for r in range(n) if r not in (i1, i2))
-    cols = tuple(c for c in range(n) if c not in (j1, j2))
-    central = _minor_det(entries, rows, cols) if rows else 1
-    lhs = central * determinant(m)
-    rhs = _first_minor(entries, n, i1, j1) * _first_minor(entries, n, i2, j2) - _first_minor(
-        entries, n, i1, j2
-    ) * _first_minor(entries, n, i2, j1)
-    return lhs - rhs
+    return _desnanot_residual(m, determinant(m), partial(_first_minor, m.entries, n), i1, i2, j1, j2)
 
 
 # ---------------------------------------------------------------------------
@@ -655,3 +666,83 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
         t += 1
     rank = len(diag)
     return SnfResult(tuple(c * x for x in _fold_divisibility(diag)) + (0,) * (size - rank), rank)
+
+
+# ---------------------------------------------------------------------------
+# corner divisors from Smith forms
+
+
+def _egcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(x, y) = s x + t y and g >= 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
+
+
+def corner_divisors(m: IntegerMatrix) -> tuple[int, ...]:
+    """(D_1*, ..., D_min*) of any integer matrix, from one Smith form.
+
+    With b the corner entry (last row, last column):
+
+    * b != 0: the Chio condensation C on b, with entries
+      ``m[i][j] * b - m[i][-1] * m[-1][j]`` over the other rows and
+      columns, has by Sylvester's identity each k x k minor equal to
+      b^(k-1) times the (k+1) x (k+1) corner minor of m on the matching
+      other indices.  So D_1* = |b| and D_{k+1}* = D_k(C) / |b|^(k-1),
+      with D_k(C) the prefix products of SNF(C).
+    * b = 0: unimodular operations on the other columns bring the last
+      row to (g_r, 0, ..., 0), then operations on the other rows bring the
+      last column to (g_c, 0, ..., 0); neither changes any D_k*.  A corner
+      minor then needs row 0 and column 0, and expands to g_r g_c times a
+      minor of the inner block B (rows and columns 1 .. -2), so D_1* = 0
+      and D_k* = g_r g_c D_{k-2}(B), from SNF(B).
+
+    Raises ArithmeticError when a quotient of the first case is not exact,
+    which a true Smith form never gives.
+    """
+    e = m.entries
+    rows, cols = m.rows - 1, m.cols - 1  # the other rows and columns, and the last indices
+    size = min(rows, cols) + 1
+    b = e[rows][cols]
+    if size == 1:
+        return (abs(b),)
+    if b:
+        bottom = e[rows]
+        cond = IntegerMatrix(tuple(tuple(row[j] * b - row[cols] * bottom[j] for j in range(cols))
+                                   for row in e[:rows]))
+        unit = abs(b)
+        stars = [unit]
+        scale = 1  # |b|^(k-1)
+        for dk in accumulate(smith_normal_form(cond).diag, mul):
+            q, r = divmod(dk, scale)
+            if r:
+                raise ArithmeticError(f"D_k of the condensation on corner {b} is {dk}, "
+                                      f"not a multiple of {scale}; its Smith form is wrong")
+            stars.append(q)
+            scale *= unit
+        return tuple(stars)
+    a = [list(row) for row in e]
+    bottom = a[rows]
+    for j in range(1, cols):
+        if bottom[j]:
+            g, s, t = _egcd(bottom[0], bottom[j])
+            u, v = bottom[0] // g, bottom[j] // g
+            for row in a:
+                row[0], row[j] = s * row[0] + t * row[j], u * row[j] - v * row[0]
+    for i in range(1, rows):
+        if a[i][cols]:
+            top, row = a[0], a[i]
+            g, s, t = _egcd(top[cols], row[cols])
+            u, v = top[cols] // g, row[cols] // g
+            a[0] = [s * x + t * y for x, y in zip(top, row)]
+            a[i] = [u * y - v * x for x, y in zip(top, row)]
+    gg = abs(a[rows][0] * a[0][cols])  # g_r g_c
+    inner = (1,)
+    if gg and size > 2:
+        inner += tuple(accumulate(smith_normal_form(IntegerMatrix(
+            tuple(tuple(row[1:cols]) for row in a[1:rows]))).diag, mul))
+    return (0, *(gg * d for d in inner), *(0,) * (size - 1 - len(inner)))

@@ -38,19 +38,21 @@ family every vertex's D_k*(L); when the matrix checks run on L, as
 forms: D_k is the product of the first k invariant factors, which gives
 the operation family D_k(L) and D_k(L') from SNF(L) and SNF(L'),
 MINORFACTS_B the D_k of each deletion submatrix from its SNF, and
-MINORFACTS_A the D_k(M) it divides into D_k*(M) from SNF(M).  So
-THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L), MINORFACTS_A
-and MINORFACTS_B each compare a Smith form with a scan, and THM_DKL_B..D
-the Smith forms of two matrices: a wrong value of either engine breaks
-them.  (D_k and D_k* from one scan could not break MINORFACTS_A: the
-corner minors are a subset of all the minors.)  The other matrix checks
-take D_k(M) from the scan; prefix products of SNF(M) would make
-MINORFACTS_E hold by construction.  CONJ_MINORS on L with v last, in a
-fuzz campaign, reads the instance's D_k(L) and pivot scan: it is an open
-statement, not a comparison of two engines.  MINORFACTS_C folds the
-corner GCDs of its corner submatrix in a table of its own
-(:func:`minor_gcd_corner_sequence`); reading those minors from the table
-of M would make it hold by construction.
+MINORFACTS_A the D_k(M) it divides into D_k*(M) from SNF(M).  D_k* of
+any matrix comes from one Smith form too (``linalg.corner_divisors``),
+which gives MINORFACTS_C the D_k* of its corner submatrix.  So
+THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L), and
+MINORFACTS_A, B and C each compare a Smith form with a scan, and
+THM_DKL_B..D the Smith forms of two matrices: a wrong value of either
+engine breaks them.  (D_k and D_k* from one scan could not break
+MINORFACTS_A, the corner minors being a subset of all the minors, and
+the corner GCDs of M and of its corner submatrix from one table could
+not break MINORFACTS_C, the submatrix's corner minors being corner
+minors of M.)
+The other matrix checks take D_k(M) from the scan; prefix products of
+SNF(M) would make MINORFACTS_E hold by construction.  CONJ_MINORS on L
+with v last, in a fuzz campaign, reads the instance's D_k(L) and pivot
+scan: it is an open statement, not a comparison of two engines.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate
 from math import gcd
 from operator import mul
@@ -78,8 +80,10 @@ from .linalg import (
     MinorGcdProfile,
     SnfResult,
     _MinorTable,
+    _desnanot_residual,
+    _first_minor,
     chio_condense,
-    desnanot_jacobi_residual,
+    corner_divisors,
     determinant,
     row_gcd,
     smith_normal_form,
@@ -173,12 +177,6 @@ def _table(m: IntegerMatrix) -> _MinorTable:
     return _last_table
 
 
-def minor_gcd_corner_sequence(m: IntegerMatrix) -> tuple[int, ...]:
-    """(D_1*, ..., D_min*) of m from a minor table of its own, which folds the corner GCDs only."""
-    table = _MinorTable(m)
-    return tuple(table.fold(k, table.corner, 1)[1][-1] for k in range(1, table.size + 1))
-
-
 def _snf_dk(snf: SnfResult) -> tuple[int, ...]:
     """(D_0, ..., D_min): the prefix products of the zero-padded Smith diagonal."""
     return tuple(accumulate(snf.diag, mul, initial=1))
@@ -219,10 +217,6 @@ class _Instance:
         # the instance, so the vertex records sharing it form no cycle
         self.pivots = cache(lambda m=self.matrix: _table(m).pivot_sequences())
         self._vertices: dict[int, _Vertex] = {}
-
-    @property
-    def profile(self) -> MinorGcdProfile:
-        return _table(self.matrix).profile()
 
     def vertex(self, v: int) -> _Vertex:
         """The record of the reduction at v (0-based), built on first use."""
@@ -391,9 +385,12 @@ def _deletion_comparisons(x: _MatrixFacts):
 
 
 def _corner_comparisons(x: _MatrixFacts):
-    """MINORFACTS_C on the submatrix without the first row and column."""
+    """MINORFACTS_C on the submatrix without the first row and column.
+
+    D_k* of M comes from the minor scan, D_k* of the submatrix from Smith forms.
+    """
     sub = x.m.submatrix(range(1, x.m.rows), range(1, x.m.cols))
-    for k, sub_star in enumerate(minor_gcd_corner_sequence(sub), start=1):
+    for k, sub_star in enumerate(corner_divisors(sub), start=1):
         yield _divides(x.dks[k - 1], sub_star, k=k, dk_star=x.dks[k - 1], sub_dk_star=sub_star)
 
 
@@ -420,8 +417,12 @@ def _chio_comparisons(x: _MatrixFacts):
 
 
 def _desnanot_comparisons(x: _MatrixFacts):
-    """Every 2 x 2 choice of rows and columns up to n = 3, three fixed ones above."""
+    """Every 2 x 2 choice of rows and columns up to n = 3, three fixed ones above.
+
+    det(M) is the one the other checks read, and each first minor is computed once.
+    """
     n = x.m.rows
+    first_minor = cache(partial(_first_minor, x.m.entries, n))
     if n <= 3:
         pairs = [
             (i1, i2, j1, j2)
@@ -433,7 +434,7 @@ def _desnanot_comparisons(x: _MatrixFacts):
     else:
         pairs = [(0, 1, 0, 1), (n - 2, n - 1, n - 2, n - 1), (0, n - 1, 0, n - 1)]
     for i1, i2, j1, j2 in pairs:
-        res = desnanot_jacobi_residual(x.m, i1, i2, j1, j2)
+        res = _desnanot_residual(x.m, x.det, first_minor, i1, i2, j1, j2)
         yield _holds(res == 0, rows=[i1, i2], cols=[j1, j2], residual=res)
 
 

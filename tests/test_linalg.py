@@ -8,6 +8,7 @@ library must agree with them on every input they can reach.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, prod
 
@@ -22,6 +23,7 @@ from critgroups.linalg import (
     IntegerMatrix,
     MinorSpec,
     chio_condense,
+    corner_divisors,
     desnanot_jacobi_residual,
     determinant,
     minor,
@@ -122,6 +124,19 @@ def test_matrix_rejects_bool_entries():
         IntegerMatrix(((True, 0), (0, 1)))
     # from_rows converts, so a bool read from elsewhere becomes an int
     assert IntegerMatrix.from_rows([[True, 0], [0, 1]]).entries == ((1, 0), (0, 1))
+
+
+def test_from_rows_converts_only_without_loss():
+    class Index:
+        def __index__(self):
+            return 10**40
+
+    m = IntegerMatrix.from_rows([[True, Index()], [-3, 4]])
+    assert m.entries == ((1, 10**40), (-3, 4))
+    assert all(type(x) is int for row in m.entries for x in row)
+    for bad in (2.5, 2.0, "3", Fraction(1)):
+        with pytest.raises(TypeError):
+            IntegerMatrix.from_rows([[1, bad], [3, 4]])
 
 
 def test_matrix_accessors():
@@ -838,3 +853,78 @@ def test_one_pass_fold_equals_the_fixpoint():
         diag = [prod(rng.choice((2, 3, 5, 7, 2**61 - 1)) for _ in range(rng.randint(0, 60)))
                 for _ in range(rng.randint(2, 6))]
         assert linalg._fold_divisibility(list(diag)) == fixpoint_fold(diag), diag
+
+
+# ---------------------------------------------------------------------------
+# corner divisors from Smith forms
+
+
+def test_corner_divisors_match_the_scan_on_fuzz_matrices():
+    """Every case matrix of three seeded campaigns and its MINORFACTS_C submatrix."""
+    zero_corners = 0
+    for seed in range(3):
+        cfg = FuzzConfig(seed=seed)
+        for index in range(cfg.case_count):
+            m = case_matrix(cfg, index)
+            cases = [m]
+            if m.rows >= 2 and m.cols >= 2:
+                cases.append(m.submatrix(range(1, m.rows), range(1, m.cols)))
+            for x in cases:
+                assert corner_divisors(x) == minor_gcd_profile(x).dk_star, (seed, index, x)
+            zero_corners += m.entries[-1][-1] == 0
+    assert zero_corners >= 10
+
+
+def test_corner_divisors_match_the_scan_on_structure_matrices():
+    """L of every structure on P3..P7 and C3..C7 at r_max 8, and L with each vertex last."""
+    cases = 0
+    for n in range(3, 8):
+        for g in (Multigraph.path(n), Multigraph.cycle(n)):
+            for s in enumerate_structures(EnumerationQuery(g, 8)):
+                m = structure_matrix(g, s)
+                assert corner_divisors(m) == minor_gcd_profile(m).dk_star, s
+                for v, star in enumerate(pivot_sequences(m)):
+                    assert corner_divisors(structure_matrix(g, s, last_vertex=v)) == star, (s, v)
+                cases += 1
+    assert cases > 1000
+
+
+@st.composite
+def corner_cases(draw):
+    """1..6 x 1..6 matrices with a zero corner, a zero last row or column, or rank at most 1."""
+    m = draw(matrices(min_dim=1, max_dim=6))
+    a = [list(row) for row in m.entries]
+    form = draw(st.sampled_from(("zero corner", "zero last row", "zero last column", "rank <= 1")))
+    if form == "zero corner":
+        a[-1][-1] = 0
+    elif form == "zero last row":
+        a[-1] = [0] * m.cols
+    elif form == "zero last column":
+        for row in a:
+            row[-1] = 0
+    else:
+        u = draw(st.lists(st.integers(-4, 4), min_size=m.rows, max_size=m.rows))
+        a = [[x * y for y in a[0]] for x in u]
+    return a
+
+
+@given(corner_cases(), st.sampled_from((1, 10**40)))
+@settings(max_examples=300)
+def test_corner_divisors_match_the_scan_on_degenerate_corners(rows, c):
+    m = scaled(rows, c)
+    assert corner_divisors(m) == minor_gcd_profile(m).dk_star
+
+
+def test_corner_divisors_frozen_values():
+    assert corner_divisors(M3) == (10, 1, 3)
+    assert corner_divisors(L1) == (8, 4, 24, 0)
+    # zero corner: g_r = 3, g_c = 4
+    assert corner_divisors(IntegerMatrix.from_rows([[7, 2, 4], [3, 6, 0]])) == (0, 12)
+    assert corner_divisors(IntegerMatrix.from_rows([[-5]])) == (5,)
+
+
+def test_corner_divisors_refuse_an_inexact_quotient(monkeypatch):
+    """A Smith form of the condensation that is not one: D_2(C) = 1 is no multiple of the corner."""
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda m: linalg.SnfResult((1, 1), 2))
+    with pytest.raises(ArithmeticError, match="not a multiple of 10"):
+        corner_divisors(M3)

@@ -10,20 +10,24 @@ here.  The closed forms on paths and cycles (Braun et al., "Counting
 arithmetical structures on paths and cycles", Discrete Math. 2018) give
 the critical group of every structure without any elimination, and the
 Laplacians of K_n and C_n have K(K_n) = (Z/n)^(n-2) and K(C_n) = Z/n at
-sizes of 30 to 60 vertices.  The Smith form itself is checked at chain
+sizes of 30 to 60 vertices, where the D_k and D_k* that ``critgroup``
+prints for K_n have closed forms too.  The Smith form itself is checked at chain
 scale against determinantal divisors taken from every minor, each a
 Bareiss determinant written here.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 from math import gcd, prod
 
 import pytest
 
+import critgroups.linalg as linalg
 import critgroups.verify as verify
+from critgroups import cli, jsonio
 from critgroups.enumeration import EnumerationQuery, enumerate_structures
 from critgroups.graphs import (
     Multigraph,
@@ -182,6 +186,30 @@ def test_instance_dk_of_complete_graphs_matches_the_closed_form(n, monkeypatch):
     reports = verify._operation_reports(inst, 0, bounds)
     assert [r.status for r in reports] == ["pass"] * 3
     assert inst.vertex(0).dk is inst.dk
+
+
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_critgroup_json_of_complete_graphs_matches_the_closed_form(n, tmp_path, capsys, monkeypatch):
+    """``critgroup --json`` prints D_k* = (n-1, n, n^2, ..., n^(n-2), 0) for K_n, with no minor scan run.
+
+    A k x k minor of L = nI - J is n^(k-1) (n - k) on equal row and
+    column sets, +-n^(k-1) on sets that differ in one index, and 0
+    otherwise (two rows of -1s).  So D_1* = n - 1, D_k* = n^(k-1) for
+    2 <= k <= n - 1, where the corner minors include sets that differ in
+    one index, and D_n* = det L = 0.
+    """
+    def no_scan(m):
+        raise AssertionError("a minor scan ran")
+
+    monkeypatch.setattr(verify, "_MinorTable", no_scan)
+    monkeypatch.setattr(linalg, "_MinorTable", no_scan)
+    path = tmp_path / "kn.graph.json"
+    jsonio.save_graph(path, complete_graph(n))
+    assert cli.main(["critgroup", str(path), "--laplacian", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = (n - 1, *(n ** k for k in range(1, n - 1)), 0)
+    assert [jsonio.decode_int(x) for x in payload["dk_star"]] == list(expected)
+    assert [jsonio.decode_int(x) for x in payload["dk"]] == [1, *(n ** k for k in range(n - 1)), 0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -3,17 +3,20 @@
 Each scenario runs the public checks on a real input while one seam
 returns one entry made inconsistent: plus one or zero.  The seams are
 ``smith_normal_form``, the ``profile`` and ``pivot_sequences`` methods
-of ``_MinorTable``, ``minor_gcd_corner_sequence``, ``determinant`` and
-``desnanot_jacobi_residual``, all looked up in ``critgroups.verify``.
+of ``_MinorTable``, ``corner_divisors``, ``determinant`` and
+``_desnanot_residual``, all looked up in ``critgroups.verify``.
 The matrix family reads D_k(M) and D_k*(M) from the profile of its minor
 table, MINORFACTS_B the D_k of each deletion submatrix from its Smith
-form, which its ``snf(sub).diag`` scenarios reach, and MINORFACTS_A the
+form, which its ``snf(sub).diag`` scenarios reach, MINORFACTS_A the
 D_k(M) it divides into D_k*(M) from SNF(M), which its ``snf(M).diag``
-scenarios reach.  The operation family reads D_k*(L with v last) from
-the pivot scan of the table of L; its scenarios keep the
-``profile.dk_star`` label of that value.  It reads D_k(L) from the
-diagonal of SNF(L) and D_k(L') from that of SNF(L'), so its
-``snf(L).diag`` scenarios reach THM_DKL_B..D as well, and its
+scenarios reach, and MINORFACTS_C the D_k* of its corner submatrix from
+``corner_divisors``, which its ``corner_sequence`` scenarios reach.
+MINORFACTS_D, CHIO and DESNANOT share one ``determinant`` of M, so the
+``determinant(m)+1`` scenarios reach all three.  The operation family
+reads D_k*(L with v last) from the pivot scan of the table of L; its
+scenarios keep the ``profile.dk_star`` label of that value.  It reads
+D_k(L) from the diagonal of SNF(L) and D_k(L') from that of SNF(L'), so
+its ``snf(L).diag`` scenarios reach THM_DKL_B..D as well, and its
 ``snf(L').diag`` scenarios THM_DKL_A..D.  Every report -- status,
 witness and ``degenerate`` flag -- must equal the one in
 ``tests/golden/witnesses.json``, so the first failing comparison of each
@@ -111,7 +114,7 @@ def _matrix_changes(m: IntegerMatrix):
     yield "profile.col_gcds[-1]", "_MinorTable.profile", (
         lambda p, kind, m: replace(p, col_gcds=_at(p.col_gcds, m.cols - 1, kind)))
     for i in range(size):
-        yield f"corner_sequence[{i}]", "minor_gcd_corner_sequence", (
+        yield f"corner_sequence[{i}]", "corner_divisors", (
             lambda s, kind, m, i=i: _at(s, i, kind))
 
 
@@ -156,7 +159,7 @@ def _changed(seam: str, change, kind: str):
 def _special_matrix_fakes(m: IntegerMatrix):
     """Determinant and Desnanot-Jacobi seams: one wrong value each."""
     real_det = verify.determinant
-    real_res = verify.desnanot_jacobi_residual
+    real_res = verify._desnanot_residual
     yield "determinant(m)+1", "determinant", lambda x: real_det(x) + (x == m)
     yield "determinant(chio)+1", "determinant", lambda x: real_det(x) + (x != m)
     for ordinal in range(3):
@@ -166,7 +169,7 @@ def _special_matrix_fakes(m: IntegerMatrix):
             calls.append(args)
             return real_res(*args) + 5 * (len(calls) == ordinal + 1)
 
-        yield f"residual#{ordinal}", "desnanot_jacobi_residual", residual
+        yield f"residual#{ordinal}", "_desnanot_residual", residual
 
 
 def _reports_json(reports, payload: dict) -> list:

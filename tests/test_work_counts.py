@@ -57,30 +57,34 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     # reductions, which the instance computes without validating L again;
     # SNF(L) once, which also gives MINORFACTS_A and the operation family
     # D_k(L), SNF(L') per vertex, which also gives D_k(L'), and the SNFs of
-    # the two MINORFACTS_B submatrices of L.  L is built once and each L'
+    # the two MINORFACTS_B submatrices of L, and one for MINORFACTS_C: the
+    # D_k* of its corner submatrix come from the Smith form of that
+    # submatrix condensed on its corner.  L is built once and each L'
     # once; no check reads L with v last, so it is never built.  One minor
     # table of L serves the profile of both matrix checks and the pivot
-    # scan that gives every vertex its D_k*; MINORFACTS_C scans its corner
-    # submatrix in a table of its own.  The batched row sets pin how far
-    # the scans run before their GCDs reach 1
+    # scan that gives every vertex its D_k*.  The batched row sets pin how
+    # far that scan runs before its GCDs reach 1
     assert calls == {
         "validate_structure": 8,
-        "smith_normal_form": 10,
+        "smith_normal_form": 11,
         "star_clique_reduction": 0,
         "_reduce": 7,
         "_matrix": 8,
-        "_MinorTable": 2,
+        "_MinorTable": 1,
         "_Instance": 1,
-        "_batch": 117,
+        "_batch": 92,
     }
 
 
 def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     summary = verify.fuzz_campaign(verify.FuzzConfig(seed=0, case_count=100))
     assert summary.cases == 100
-    # per case: the case matrix's table, shared by its two checks, its
-    # MINORFACTS_C corner table, its SNF for MINORFACTS_A and the SNFs of
-    # its two MINORFACTS_B submatrices.  The 100 structure cases draw 43
+    # per case: the case matrix's table, shared by its two checks, its SNF
+    # for MINORFACTS_A, the SNFs of its two MINORFACTS_B submatrices and
+    # one SNF for MINORFACTS_C when its corner submatrix is at least 2 x 2:
+    # of the submatrix condensed on its corner in the 58 such cases with a
+    # nonzero corner, of its inner block in 3 of the 5 with a zero corner
+    # (the other 2 need none).  The 100 structure cases draw 43
     # distinct pairs at 78 distinct (pair, vertex) draws, and the campaign
     # builds one instance per pair drawn: one validation, L, SNF(L) and the
     # table of L for the pivot scan; and per distinct draw one reduction
@@ -90,13 +94,13 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     # 43 + 2 * 78 matrices built
     assert calls == {
         "validate_structure": 121,
-        "smith_normal_form": 421,
+        "smith_normal_form": 482,
         "star_clique_reduction": 0,
         "_reduce": 78,
         "_matrix": 199,
-        "_MinorTable": 243,
+        "_MinorTable": 143,
         "_Instance": 43,
-        "_batch": 1964,
+        "_batch": 1531,
     }
 
 
