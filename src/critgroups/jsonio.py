@@ -7,11 +7,18 @@ survive any JSON reader that parses numbers as IEEE doubles; both plain
 numbers and decimal strings are accepted on input.  Graph and structure files hold
 ``json.dumps(obj, indent=2)`` text written without its pure-Python encoder; nothing in
 them needs escaping (plain keys; :func:`encode_int`'s strings hold ``-`` and digits).
+
+Input is decoded as UTF-8 (RFC 8259); bytes that are not UTF-8, or JSON nested
+too deeply for the parser, raise :class:`FileFormatError` like any other
+malformed file.  Saves build the whole text first, then overwrite an existing
+file in place (see :func:`_write`), so a save that fails on the int-to-str
+digit limit raises ``ValueError`` and leaves the old file as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -147,13 +154,40 @@ def matrix_from_obj(obj) -> IntegerMatrix:
 
 def _load_json(path) -> object:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}") from exc
     try:
-        return json.loads(text)
+        return json.loads(data.decode())
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, overwriting an existing file in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the new length only if
+    it was longer.  On ext4, truncating a file that holds data and then
+    writing it makes ``close`` start its write-back (``auto_da_alloc``),
+    which costs about ten times the write itself.  Trade-off: a crash
+    mid-save can leave the new bytes followed by old ones, where opening
+    with ``O_TRUNC`` could leave a truncated file.  Non-regular targets such
+    as ``/dev/null`` report size 0 and are never truncated.
+    """
+    data = memoryview(text.encode())
+    size = len(data)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def load_graph(path) -> Multigraph:
@@ -170,7 +204,7 @@ def _dumps(values: list, indent: str) -> str:
 
 def save_graph(path, g: Multigraph) -> None:
     """Write ``json.dumps(graph_to_obj(g), indent=2)`` and a newline; the text is built first."""
-    Path(path).write_text(f'{{\n  "n": {g.n},\n  "edges": {_dumps(graph_to_obj(g)["edges"], "  ")}\n}}\n')
+    _write(path, f'{{\n  "n": {g.n},\n  "edges": {_dumps(graph_to_obj(g)["edges"], "  ")}\n}}\n')
 
 
 def load_structure(path) -> ArithmeticalStructure:
@@ -180,7 +214,7 @@ def load_structure(path) -> ArithmeticalStructure:
 def save_structure(path, s: ArithmeticalStructure) -> None:
     """Write ``json.dumps(structure_to_obj(s), indent=2)`` and a newline; the text is built first."""
     obj = structure_to_obj(s)
-    Path(path).write_text(f'{{\n  "d": {_dumps(obj["d"], "  ")},\n  "r": {_dumps(obj["r"], "  ")}\n}}\n')
+    _write(path, f'{{\n  "d": {_dumps(obj["d"], "  ")},\n  "r": {_dumps(obj["r"], "  ")}\n}}\n')
 
 
 def write_witness(directory, report, seed: int, case_index: int, ordinal: int) -> Path:
@@ -202,7 +236,7 @@ def write_witness(directory, report, seed: int, case_index: int, ordinal: int) -
         "witness": report.witness,
     }
     path = directory / name
-    path.write_text(json.dumps(encode_value(payload), indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(encode_value(payload), indent=2, sort_keys=True) + "\n")
     return path
 
 

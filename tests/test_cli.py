@@ -105,6 +105,18 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "data", [b'\xff\xfe{"n": 2}', b"[" * 200000 + b"]" * 200000], ids=["not-utf8", "deep-nesting"]
+)
+def test_undecodable_or_deeply_nested_input_exits_2(capsys, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, "critgroup", str(bad), "--laplacian")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"parse error: {bad}: ") and err.count("\n") == 1
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "critgroup", "/nonexistent/g.json", "--laplacian")
     assert code == 2

@@ -81,6 +81,15 @@ def test_apply_op_files_match_golden(name, tmp_path):
         assert written == (GOLDEN / f"{WRITTEN[name]}{suffix}").read_bytes()
 
 
+def test_apply_op_rerun_overwrites_longer_files(tmp_path):
+    """simple7's files are longer than nonsimple4-a's; the second run must leave no old tail."""
+    assert run_case("apply-op-simple7-json", tmp_path)[0] == 0
+    assert run_case("apply-op-nonsimple4-a", tmp_path)[0] == 0
+    for suffix in SUFFIXES:
+        written = (tmp_path / f"reduced{suffix}").read_bytes()
+        assert written == (GOLDEN / f"apply-op-nonsimple4-a{suffix}").read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 import sys
 
 import pytest
@@ -273,6 +275,65 @@ def test_save_past_the_digit_limit_raises_and_keeps_the_old_file(tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+def test_saves_overwrite_longer_and_shorter_files_in_place(tmp_path):
+    """Large, small, large to one path: the shrink cuts the old tail off, the regrow extends the file."""
+    large = Multigraph.from_edges(12, [(i, j, 10**40 + i * j) for i in range(12) for j in range(i + 1, 12)])
+    path = tmp_path / "g.json"
+    for g in (large, Multigraph(((0,),)), large):
+        save_graph(path, g)
+        assert path.read_bytes() == (json.dumps(graph_to_obj(g), indent=2) + "\n").encode()
+        assert load_graph(path) == g
+    for s in (ArithmeticalStructure((0, *EDGE_CASES), (*EDGE_CASES, 1)), ArithmeticalStructure((0,), (1,))):
+        save_structure(path, s)
+        assert path.read_bytes() == (json.dumps(structure_to_obj(s), indent=2) + "\n").encode()
+        assert load_structure(path) == s
+
+
+def test_save_to_dev_null_succeeds():
+    save_graph(os.devnull, Multigraph.from_edges(4, NONSIMPLE_EDGES))
+    save_structure(os.devnull, ArithmeticalStructure((8, 10, 4, 8), (1, 3, 5, 2)))
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_files_get_the_mode_of_an_ordinary_open(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        (tmp_path / "reference.json").write_text("{}\n")
+        save_graph(tmp_path / "g.json", Multigraph(((0,),)))
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("reference.json", "g.json")}
+    assert modes == {0o666 & ~umask}
+
+
+def test_short_writes_are_continued(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    g = Multigraph.from_edges(4, NONSIMPLE_EDGES)
+    save_graph(tmp_path / "g.json", g)
+    assert (tmp_path / "g.json").read_text() == json.dumps(graph_to_obj(g), indent=2) + "\n"
+
+
+def test_saves_never_open_with_o_trunc(tmp_path, monkeypatch):
+    """Each save opens its file once through ``os.open``, without ``O_TRUNC``."""
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    report = PropertyReport(PropertyId.CONJ_MINORS, FAIL, {"big": 2**60}, degenerate=False)
+    for _ in range(2):  # the second round overwrites the files of the first
+        save_graph(tmp_path / "g.json", Multigraph.from_edges(4, NONSIMPLE_EDGES))
+        save_structure(tmp_path / "s.json", ArithmeticalStructure((8, 10, 4, 8), (1, 3, 5, 2)))
+        write_witness(tmp_path / "w", report, seed=7, case_index=3, ordinal=1)
+    assert len(flags) == 6
+    assert all(flag & os.O_CREAT and flag & os.O_WRONLY and not flag & os.O_TRUNC for flag in flags)
+
+
 def test_bool_pair_is_rejected_and_its_int_twin_round_trips(tmp_path):
     """A bool entry would be saved as JSON `true`, which loading rejects; so construction rejects it."""
     with pytest.raises(GraphError):
@@ -292,6 +353,24 @@ def test_load_rejects_malformed_json(tmp_path):
     with pytest.raises(FileFormatError) as excinfo:
         load_graph(path)
     assert "broken.json" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b'\xff\xfe{"n": 2}', "not UTF-8"),
+        ('{"n": 2, "edges": []}'.encode("utf-16"), "not UTF-8"),
+        (b"[" * 200000 + b"]" * 200000, "nested too deeply"),
+    ],
+    ids=["not-utf8", "utf16", "deep-nesting"],
+)
+def test_load_rejects_undecodable_and_deeply_nested_input(data, reason, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    for load in (load_graph, load_structure):
+        with pytest.raises(FileFormatError, match=reason) as excinfo:
+            load(path)
+        assert str(path) in str(excinfo.value)
 
 
 def test_bundled_fixtures_load_and_validate():
