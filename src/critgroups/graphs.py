@@ -313,7 +313,7 @@ def structure_matrix(g: Multigraph, s: ArithmeticalStructure, last_vertex: int |
 def _matrix(g: Multigraph, s: ArithmeticalStructure, order) -> IntegerMatrix:
     import critgroups.linalg as linalg
 
-    return linalg.IntegerMatrix(
+    return linalg.IntegerMatrix._unchecked(
         tuple(tuple(s.d[i] if i == j else -g.mult[i][j] for j in order) for i in order)
     )
 

@@ -47,7 +47,14 @@ from ._record import Record
 
 
 class IntegerMatrix(Record):
-    """Immutable dense matrix of Python ints (at least 1 x 1)."""
+    """Immutable dense matrix of Python ints (at least 1 x 1).
+
+    Validation happens at the boundary: the constructor and ``from_rows``
+    check the shape and the type of every entry.  Matrices built in the
+    package from entries already known to be a nonempty rectangle of ints
+    (submatrices, transposes, condensations, structure matrices and fuzz
+    case matrices) come from the private ``_unchecked``, which checks nothing.
+    """
 
     __slots__ = ("entries",)
 
@@ -62,6 +69,13 @@ class IntegerMatrix(Record):
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise TypeError(f"matrix entries must be int, got {type(x).__name__}")
+
+    @classmethod
+    def _unchecked(cls, entries: tuple[tuple[int, ...], ...]) -> IntegerMatrix:
+        """The matrix of ``entries``, a nonempty rectangle of ints the caller vouches for."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> IntegerMatrix:
@@ -95,7 +109,7 @@ class IntegerMatrix(Record):
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> IntegerMatrix:
-        return IntegerMatrix(tuple(zip(*self.entries)))
+        return IntegerMatrix._unchecked(tuple(zip(*self.entries)))
 
     def submatrix(self, row_idx, col_idx) -> IntegerMatrix:
         """Submatrix selected by iterables of 0-based row/column indices."""
@@ -109,7 +123,7 @@ class IntegerMatrix(Record):
         for j in ci:
             if not 0 <= j < self.cols:
                 raise IndexError(f"column index {j} out of range")
-        return IntegerMatrix(tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
+        return IntegerMatrix._unchecked(tuple(tuple(self.entries[i][j] for j in ci) for i in ri))
 
     def __str__(self) -> str:
         width = max(len(str(x)) for row in self.entries for x in row)
@@ -509,7 +523,7 @@ def chio_condense(m: IntegerMatrix) -> IntegerMatrix:
     e = m.entries
     last = e[n - 1]
     corner = last[n - 1]
-    return IntegerMatrix(
+    return IntegerMatrix._unchecked(
         tuple(
             tuple(e[i][j] * corner - e[i][n - 1] * last[j] for j in range(n - 1))
             for i in range(n - 1)
@@ -712,8 +726,8 @@ def corner_divisors(m: IntegerMatrix) -> tuple[int, ...]:
         return (abs(b),)
     if b:
         bottom = e[rows]
-        cond = IntegerMatrix(tuple(tuple(row[j] * b - row[cols] * bottom[j] for j in range(cols))
-                                   for row in e[:rows]))
+        cond = IntegerMatrix._unchecked(
+            tuple(tuple(row[j] * b - row[cols] * bottom[j] for j in range(cols)) for row in e[:rows]))
         unit = abs(b)
         stars = [unit]
         scale = 1  # |b|^(k-1)
@@ -743,6 +757,6 @@ def corner_divisors(m: IntegerMatrix) -> tuple[int, ...]:
     gg = abs(a[rows][0] * a[0][cols])  # g_r g_c
     inner = (1,)
     if gg and size > 2:
-        inner += tuple(accumulate(smith_normal_form(IntegerMatrix(
+        inner += tuple(accumulate(smith_normal_form(IntegerMatrix._unchecked(
             tuple(tuple(row[1:cols]) for row in a[1:rows]))).diag, mul))
     return (0, *(gg * d for d in inner), *(0,) * (size - 1 - len(inner)))

@@ -21,13 +21,20 @@ zero divisor value are flagged ``degenerate`` so they can be filtered
 when studying the generic case.
 
 The properties form one table of (id, applicability, comparisons) rows,
-evaluated by :meth:`_Property.report`.  Their inputs are computed once:
-a (graph, structure) pair becomes one validated :class:`_Instance` that
-holds L, SNF(L), the pivot scan of L and, per vertex, the reduction and
-everything derived from it; the last instance and the last minor table
-are kept, so consecutive checks of the same pair or matrix share them.
-A fuzz campaign keeps one instance per pair it draws, and the CLI builds
-one and hands it to the operation family.
+evaluated by :meth:`_Property.report`.  A check that passes costs its
+comparisons and nothing more: each comparison carries a constant tuple
+of names and a tuple of the values they name, and only the first failing
+one is made into a witness dict.  Reports without a witness are
+immutable and shared, one per (id, status, degenerate), built at import;
+a check builds a report only when it fails.
+
+The inputs of the checks are computed once: a (graph, structure) pair
+becomes one validated :class:`_Instance` that holds L, SNF(L), the pivot
+scan of L and, per vertex, the reduction and everything derived from it;
+the last instance and the last minor table are kept, so consecutive
+checks of the same pair or matrix share them.  A fuzz campaign keeps one
+instance per pair it draws, and the CLI builds one and hands it to the
+operation family.
 
 Determinantal divisors come from two engines.  Minor scans: one minor
 table per matrix (``linalg._MinorTable``) evaluates each of its minors
@@ -131,6 +138,8 @@ class PropertyId(str, Enum):
 
 
 PROVEN_IDS = frozenset(p for p in PropertyId if not p.value.startswith("CONJ_"))
+# each id's text, which Enum's ``value`` descriptor returns far more slowly
+_ID_TEXT = {p: p.value for p in PropertyId}
 
 
 class PropertyReport(Record):
@@ -327,40 +336,57 @@ class _MatrixFacts:
 # the property table
 
 
-def _divides(a: int, b: int, **details) -> tuple[bool, bool, dict]:
+# (ok, degenerate, names, values): what a comparison yields to _Property.report
+_Comparison = tuple[bool, bool, tuple[str, ...], tuple]
+
+
+def _divides(a: int, b: int, names: tuple[str, ...], values: tuple) -> _Comparison:
     """The comparison a | b; a zero on either side marks the report degenerate."""
-    return divides(a, b), a == 0 or b == 0, details
+    return divides(a, b), a == 0 or b == 0, names, values
 
 
-def _holds(ok: bool, **details) -> tuple[bool, bool, dict]:
-    return ok, False, details
+def _holds(ok: bool, names: tuple[str, ...], values: tuple) -> _Comparison:
+    return ok, False, names, values
+
+
+# the reports without a witness, built once: they are immutable, so every check returns these
+_NOT_APPLICABLE = {pid: PropertyReport(pid, NOT_APPLICABLE) for pid in PropertyId}
+_PASSED = {pid: (PropertyReport(pid, PASS), PropertyReport(pid, PASS, None, True)) for pid in PropertyId}
 
 
 class _Property(Record):
     """One table row: when the property applies, and the comparisons it makes.
 
-    ``comparisons(x)`` yields (ok, degenerate, details) in a fixed order.
-    The report fails on the first comparison that is not ok and carries
-    its details next to the input; every comparison counts toward
-    ``degenerate``.
+    ``comparisons(x)`` yields (ok, degenerate, names, values) in a fixed
+    order; ``names`` is a constant tuple and ``values`` holds the values it
+    names, taken when the comparison is made.  Every comparison counts
+    toward ``degenerate``.  The report fails on the first comparison that
+    is not ok, and only then is a witness built: the input, the property
+    id, then that comparison's names and values, in order.  A report that
+    does not fail is one of the shared reports without a witness.
     """
 
     __slots__ = ("pid", "applies", "comparisons")
 
     def __init__(self, pid: PropertyId, applies: Callable[[object], bool],
-                 comparisons: Callable[[object], Iterable[tuple[bool, bool, dict]]]) -> None:
+                 comparisons: Callable[[object], Iterable[_Comparison]]) -> None:
         self._set(pid, applies, comparisons)
 
     def report(self, x) -> PropertyReport:
+        pid = self.pid
         if not self.applies(x):
-            return PropertyReport(self.pid, NOT_APPLICABLE)
+            return _NOT_APPLICABLE[pid]
         failure = None
         degenerate = False
-        for ok, zero, details in self.comparisons(x):
+        for ok, zero, names, values in self.comparisons(x):
             degenerate = degenerate or zero
             if not ok and failure is None:
-                failure = {**x.payload, "property_id": self.pid.value, **details}
-        return PropertyReport(self.pid, PASS if failure is None else FAIL, failure, degenerate)
+                failure = names, values
+        if failure is None:
+            return _PASSED[pid][degenerate]
+        witness = {**x.payload, "property_id": pid.value}
+        witness.update(zip(*failure))
+        return PropertyReport(pid, FAIL, witness, degenerate)
 
 
 def _always(x) -> bool:
@@ -381,7 +407,8 @@ def _deletion_comparisons(x: _MatrixFacts):
     for which, sub in enumerate(subs):
         sub_dk = _snf_dk(smith_normal_form(sub))
         for k in range(1, min(sub.rows, sub.cols) + 1):
-            yield _divides(x.dk[k], sub_dk[k], submatrix=which, k=k, dk=x.dk[k], sub_dk=sub_dk[k])
+            yield _divides(x.dk[k], sub_dk[k], ("submatrix", "k", "dk", "sub_dk"),
+                           (which, k, x.dk[k], sub_dk[k]))
 
 
 def _corner_comparisons(x: _MatrixFacts):
@@ -391,29 +418,23 @@ def _corner_comparisons(x: _MatrixFacts):
     """
     sub = x.m.submatrix(range(1, x.m.rows), range(1, x.m.cols))
     for k, sub_star in enumerate(corner_divisors(sub), start=1):
-        yield _divides(x.dks[k - 1], sub_star, k=k, dk_star=x.dks[k - 1], sub_dk_star=sub_star)
+        yield _divides(x.dks[k - 1], sub_star, ("k", "dk_star", "sub_dk_star"), (k, x.dks[k - 1], sub_star))
 
 
 def _gn_comparisons(x: _MatrixFacts):
     col_g = x.profile.col_gcds[-1]
     row_g = x.profile.row_gcds[-1]
     for k in range(2, x.size + 1):
-        yield _divides(
-            x.dks[k - 1],
-            col_g * row_g * x.dk[k],
-            k=k,
-            dk_star=x.dks[k - 1],
-            last_col_gcd=col_g,
-            last_row_gcd=row_g,
-            dk=x.dk[k],
-        )
+        yield _divides(x.dks[k - 1], col_g * row_g * x.dk[k],
+                       ("k", "dk_star", "last_col_gcd", "last_row_gcd", "dk"),
+                       (k, x.dks[k - 1], col_g, row_g, x.dk[k]))
 
 
 def _chio_comparisons(x: _MatrixFacts):
     n = x.m.rows
     det_cond = determinant(chio_condense(x.m))
     expected = x.m.entries[n - 1][n - 1] ** (n - 2) * x.det
-    yield _holds(det_cond == expected, det_condensed=det_cond, expected=expected)
+    yield _holds(det_cond == expected, ("det_condensed", "expected"), (det_cond, expected))
 
 
 def _desnanot_comparisons(x: _MatrixFacts):
@@ -435,7 +456,7 @@ def _desnanot_comparisons(x: _MatrixFacts):
         pairs = [(0, 1, 0, 1), (n - 2, n - 1, n - 2, n - 1), (0, n - 1, 0, n - 1)]
     for i1, i2, j1, j2 in pairs:
         res = _desnanot_residual(x.m, x.det, first_minor, i1, i2, j1, j2)
-        yield _holds(res == 0, rows=[i1, i2], cols=[j1, j2], residual=res)
+        yield _holds(res == 0, ("rows", "cols", "residual"), ([i1, i2], [j1, j2], res))
 
 
 def _square(x: _MatrixFacts) -> bool:
@@ -444,7 +465,7 @@ def _square(x: _MatrixFacts) -> bool:
 
 _MATRIX_PROPERTIES = (
     _Property(PropertyId.MINORFACTS_A, _always, lambda x: (
-        _divides(x.snf_dk[k], x.dks[k - 1], k=k, dk=x.snf_dk[k], dk_star=x.dks[k - 1])
+        _divides(x.snf_dk[k], x.dks[k - 1], ("k", "dk", "dk_star"), (k, x.snf_dk[k], x.dks[k - 1]))
         for k in range(1, x.size + 1))),
     _Property(PropertyId.MINORFACTS_B, lambda x: x.m.rows >= 2 or x.m.cols >= 2,
               _deletion_comparisons),
@@ -452,27 +473,24 @@ _MATRIX_PROPERTIES = (
               _corner_comparisons),
     _Property(PropertyId.MINORFACTS_D, lambda x: x.m.is_square, lambda x: (_holds(
         x.dk[x.size] == x.dks[x.size - 1] == abs(x.det),
-        dn=x.dk[x.size], dn_star=x.dks[x.size - 1], abs_det=abs(x.det)),)),
+        ("dn", "dn_star", "abs_det"), (x.dk[x.size], x.dks[x.size - 1], abs(x.det))),)),
     _Property(PropertyId.MINORFACTS_E, _always, lambda x: (
-        _divides(x.dk[k], x.dk[k + 1], k=k, dk=x.dk[k], dk_next=x.dk[k + 1])
+        _divides(x.dk[k], x.dk[k + 1], ("k", "dk", "dk_next"), (k, x.dk[k], x.dk[k + 1]))
         for k in range(x.size))),
     _Property(PropertyId.DKSTAR_CHAIN, lambda x: x.size >= 3, lambda x: (
-        _divides(x.dks[k - 1], x.dks[k], k=k, dk_star=x.dks[k - 1], dk_star_next=x.dks[k])
+        _divides(x.dks[k - 1], x.dks[k], ("k", "dk_star", "dk_star_next"), (k, x.dks[k - 1], x.dks[k]))
         for k in range(2, x.size))),
     _Property(PropertyId.GN_BOUND, lambda x: x.size >= 2, _gn_comparisons),
     _Property(PropertyId.D1D2STAR, lambda x: x.size >= 2, lambda x: (_divides(
         x.dk[1] * x.dks[1], x.dks[0] * x.dk[2],
-        d1=x.dk[1], d2_star=x.dks[1], d1_star=x.dks[0], d2=x.dk[2]),)),
+        ("d1", "d2_star", "d1_star", "d2"), (x.dk[1], x.dks[1], x.dks[0], x.dk[2])),)),
     _Property(PropertyId.CHIO, _square, _chio_comparisons),
     _Property(PropertyId.DESNANOT, _square, _desnanot_comparisons),
 )
 
 _CONJ_MINORS = _Property(PropertyId.CONJ_MINORS, lambda x: x.size >= 2, lambda x: (
-    _divides(
-        x.dk[k] * x.dks[k],
-        x.dks[k - 1] * x.dk[k + 1],
-        k=k, dk=x.dk[k], dk1_star=x.dks[k], dk_star=x.dks[k - 1], dk1=x.dk[k + 1],
-    )
+    _divides(x.dk[k] * x.dks[k], x.dks[k - 1] * x.dk[k + 1],
+             ("k", "dk", "dk1_star", "dk_star", "dk1"), (k, x.dk[k], x.dks[k], x.dks[k - 1], x.dk[k + 1]))
     for k in range(1, x.size)))
 
 
@@ -498,54 +516,54 @@ def _alpha1_cap(x: _Vertex) -> int:
 _OPERATION_PROPERTIES = (
     _Property(PropertyId.THM_DKL_A, _always, lambda x: (
         _holds(lhs == scale * x.dk_star[k],
-               k=k, dk_prime=lhs, m_power=scale, dk1_star=x.dk_star[k])
+               ("k", "dk_prime", "m_power", "dk1_star"), (k, lhs, scale, x.dk_star[k]))
         for k, lhs, scale, _, _ in _dkl_terms(x))),
     _Property(PropertyId.THM_DKL_B, _always, lambda x: (
-        _divides(lower, lhs, k=k, bound=lower, dk_prime=lhs)
+        _divides(lower, lhs, ("k", "bound", "dk_prime"), (k, lower, lhs))
         for k, lhs, _, lower, _ in _dkl_terms(x))),
     _Property(PropertyId.THM_DKL_C, _always, lambda x: (
-        _divides(lhs, upper, k=k, dk_prime=lhs, bound=upper)
+        _divides(lhs, upper, ("k", "dk_prime", "bound"), (k, lhs, upper))
         for k, lhs, _, _, upper in _dkl_terms(x))),
     _Property(PropertyId.THM_DKL_D, _always, lambda x: (
-        _holds(lower <= lhs <= upper, k=k, lower=lower, dk_prime=lhs, upper=upper)
+        _holds(lower <= lhs <= upper, ("k", "lower", "dk_prime", "upper"), (k, lower, lhs, upper))
         for k, lhs, _, lower, upper in _dkl_terms(x))),
     _Property(PropertyId.COR_ORDER_A, _always, lambda x: (
-        _divides(x.lower, x.order_p, lower=x.lower, order_prime=x.order_p),)),
+        _divides(x.lower, x.order_p, ("lower", "order_prime"), (x.lower, x.order_p)),)),
     _Property(PropertyId.COR_ORDER_B, _always, lambda x: (
-        _divides(x.order_p, x.upper, order_prime=x.order_p, upper=x.upper),)),
+        _divides(x.order_p, x.upper, ("order_prime", "upper"), (x.order_p, x.upper)),)),
     _Property(PropertyId.COR_ORDER_C, _always, lambda x: (_holds(
-        x.lower <= x.order_p <= x.upper, lower=x.lower, order_prime=x.order_p, upper=x.upper),)),
+        x.lower <= x.order_p <= x.upper, ("lower", "order_prime", "upper"), (x.lower, x.order_p, x.upper)),)),
     _Property(PropertyId.PROP_ALPHA1_A, _always, lambda x: (_divides(
         x.alpha_p[0], x.gg * x.alpha[0] * x.alpha[1],
-        alpha1_prime=x.alpha_p[0], bound=x.gg * x.alpha[0] * x.alpha[1]),)),
+        ("alpha1_prime", "bound"), (x.alpha_p[0], x.gg * x.alpha[0] * x.alpha[1])),)),
     _Property(PropertyId.PROP_ALPHA1_B, _always, lambda x: (_divides(
-        x.alpha_p[0], x.m * x.alpha[1], alpha1_prime=x.alpha_p[0], bound=x.m * x.alpha[1]),)),
+        x.alpha_p[0], x.m * x.alpha[1], ("alpha1_prime", "bound"), (x.alpha_p[0], x.m * x.alpha[1])),)),
     _Property(PropertyId.PROP_ALPHA1_C, _always, lambda x: (_divides(
-        x.alpha_p[0], _alpha1_cap(x), alpha1_prime=x.alpha_p[0], bound=_alpha1_cap(x)),)),
+        x.alpha_p[0], _alpha1_cap(x), ("alpha1_prime", "bound"), (x.alpha_p[0], _alpha1_cap(x))),)),
     _Property(PropertyId.PROP_ALPHA1_D, _always, lambda x: (_divides(
         x.alpha[0] * x.alpha[1], x.alpha_p[0],
-        product=x.alpha[0] * x.alpha[1], alpha1_prime=x.alpha_p[0]),)),
+        ("product", "alpha1_prime"), (x.alpha[0] * x.alpha[1], x.alpha_p[0])),)),
     _Property(PropertyId.PROP_ALPHA1_E, _always, lambda x: (_holds(
         x.alpha[0] * x.alpha[1] <= x.alpha_p[0] <= _alpha1_cap(x),
-        lower=x.alpha[0] * x.alpha[1], alpha1_prime=x.alpha_p[0], upper=_alpha1_cap(x)),)),
+        ("lower", "alpha1_prime", "upper"), (x.alpha[0] * x.alpha[1], x.alpha_p[0], _alpha1_cap(x))),)),
     _Property(PropertyId.THM_ALPHAK_A, lambda x: x.n >= 4, lambda x: (
-        _divides(apk, x.gg * m_ak1, k=k, alpha_k_prime=apk, bound=x.gg * m_ak1)
+        _divides(apk, x.gg * m_ak1, ("k", "alpha_k_prime", "bound"), (k, apk, x.gg * m_ak1))
         for k, apk, m_ak1 in _alpha_terms(x, 2))),
     _Property(PropertyId.THM_ALPHAK_B, lambda x: x.n >= 4, lambda x: (
-        _divides(m_ak1, x.gg * apk, k=k, m_alpha=m_ak1, scaled=x.gg * apk)
+        _divides(m_ak1, x.gg * apk, ("k", "m_alpha", "scaled"), (k, m_ak1, x.gg * apk))
         for k, apk, m_ak1 in _alpha_terms(x, 2))),
     _Property(PropertyId.THM_ALPHAK_C, lambda x: x.n >= 4, lambda x: (
         _holds(m_ak1 <= x.gg * apk and apk <= x.gg * m_ak1,
-               k=k, alpha_k_prime=apk, m_alpha=m_ak1, g_squared=x.gg)
+               ("k", "alpha_k_prime", "m_alpha", "g_squared"), (k, apk, m_ak1, x.gg))
         for k, apk, m_ak1 in _alpha_terms(x, 2))),
     _Property(PropertyId.COR_GCD1, lambda x: x.g == 1, lambda x: (
-        _holds(x.alpha_p[0] == x.alpha[1], k=1, alpha1_prime=x.alpha_p[0], alpha2=x.alpha[1]),
-        *(_holds(apk == m_ak1, k=k, alpha_k_prime=apk, m_alpha=m_ak1)
+        _holds(x.alpha_p[0] == x.alpha[1], ("k", "alpha1_prime", "alpha2"), (1, x.alpha_p[0], x.alpha[1])),
+        *(_holds(apk == m_ak1, ("k", "alpha_k_prime", "m_alpha"), (k, apk, m_ak1))
           for k, apk, m_ak1 in _alpha_terms(x, 2)))),
 )
 
 _CONJ_ALPHA = _Property(PropertyId.CONJ_ALPHA, _always, lambda x: (
-    _divides(apk, m_ak1, k=k, alpha_k_prime=apk, m_alpha=m_ak1)
+    _divides(apk, m_ak1, ("k", "alpha_k_prime", "m_alpha"), (k, apk, m_ak1))
     for k, apk, m_ak1 in _alpha_terms(x, 1)))
 
 
@@ -587,7 +605,7 @@ def _operation_reports(inst: _Instance, v: int, properties) -> list[PropertyRepo
     if not 0 <= v < n:
         raise IndexError(f"vertex {v} out of range 0..{n - 1}")
     if n < 3:
-        return [PropertyReport(prop.pid, NOT_APPLICABLE) for prop in properties]
+        return [_NOT_APPLICABLE[prop.pid] for prop in properties]
     record = inst.vertex(v)
     return [prop.report(record) for prop in properties]
 
@@ -677,9 +695,10 @@ class FuzzSummary(Record):
         self.witness_paths = [] if witness_paths is None else witness_paths
 
     def tally(self, report: PropertyReport) -> None:
-        bucket = self.tallies.setdefault(
-            report.property_id.value, {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0}
-        )
+        key = _ID_TEXT[report.property_id]
+        bucket = self.tallies.get(key)
+        if bucket is None:
+            bucket = self.tallies[key] = {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0}
         bucket[report.status] += 1
 
     @property
@@ -735,7 +754,7 @@ def case_matrix(cfg: FuzzConfig, index: int) -> IntegerMatrix:
                 row[cols - 1] *= factor
     else:
         a = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-    return IntegerMatrix(tuple(tuple(row) for row in a))
+    return IntegerMatrix._unchecked(tuple(tuple(row) for row in a))
 
 
 def _case_draw(cfg: FuzzConfig, index: int, draws: list[tuple[int, int]]) -> tuple[int, int]:
@@ -796,7 +815,7 @@ def shrink_matrix_witness(m: IntegerMatrix, still_fails) -> IntegerMatrix:
                         continue
                     rows = [list(row) for row in m.entries]
                     rows[i][j] = new_val
-                    cand = IntegerMatrix(tuple(tuple(row) for row in rows))
+                    cand = IntegerMatrix._unchecked(tuple(tuple(row) for row in rows))
                     if still_fails(cand):
                         m = cand
                         changed = True
@@ -835,8 +854,9 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
     (graph, structure, vertex) instance per case from the configured
     enumeration queries.  Each (graph, structure) pair drawn gets one
     :class:`_Instance`, kept from the first case that draws the pair to
-    the last; it holds no minor table, so memory grows with the pairs
-    drawn, not with the cases.  Failing matrix witnesses are minimized
+    the last; it holds no minor table, so the instances grow with the
+    pairs drawn, not with the cases.  The draws are made once, up front,
+    one list entry per case.  Failing matrix witnesses are minimized
     before being recorded.  When ``archive_dir`` is given, each failure
     is also written there as a JSON witness file.
     """
@@ -861,9 +881,9 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
             for s in enumerate_structures(query):
                 draws.extend((len(pairs), v) for v in range(query.graph.n))
                 pairs.append((query.graph, s))
-    # the last case that draws each pair, after which its instance is dropped
-    last_case = {_case_draw(cfg, index, draws)[0]: index
-                 for index in range(cfg.case_count)} if draws else {}
+    # each case's draw, and the last case that draws each pair, after which its instance is dropped
+    case_draws = [_case_draw(cfg, index, draws) for index in range(cfg.case_count)] if draws else []
+    last_case = {pair: index for index, (pair, _) in enumerate(case_draws)}
     live: dict[int, _Instance] = {}
 
     summary = FuzzSummary(config=cfg)
@@ -875,8 +895,8 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
                 reports.extend(verify_minor_properties(mtx))
             if want_minors:
                 reports.append(check_conjecture_minors(mtx))
-        if draws:
-            pair, v = _case_draw(cfg, index, draws)
+        if case_draws:
+            pair, v = case_draws[index]
             inst = live.pop(pair, None) or _Instance(*pairs[pair])
             if last_case[pair] > index:
                 live[pair] = inst

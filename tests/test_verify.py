@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -80,6 +81,26 @@ def test_proven_ids_exclude_the_conjectures():
     assert len(PROVEN_IDS) == len(PropertyId) - 2
     assert PropertyReport(PropertyId.CHIO, FAIL, {"matrix": [[1]]}).failed
     assert not PropertyReport(PropertyId.CHIO, PASS).failed
+
+
+def test_reports_without_a_witness_are_shared_values():
+    """Passing and not-applicable reports are built once; each equals a fresh report of its fields."""
+    shared = [report for pid in PropertyId
+              for report in (verify._NOT_APPLICABLE[pid], *verify._PASSED[pid])]
+    assert len(shared) == 3 * len(PropertyId)
+    for report in shared:
+        fresh = PropertyReport(report.property_id, report.status, report.witness, report.degenerate)
+        assert report is not fresh and report == fresh and hash(report) == hash(fresh)
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert report.witness is None
+    assert {(r.status, r.degenerate) for r in shared} == {
+        (NOT_APPLICABLE, False), (PASS, False), (PASS, True)}
+    # the checks return them, degenerate or not, and not applicable for n < 3
+    reports = [*verify_minor_properties(L1), *verify_minor_properties(IntegerMatrix.from_rows([[0, 0]])),
+               *verify_operation_theorems(Multigraph.path(2), ArithmeticalStructure((1, 1), (1, 1)), 0)]
+    assert {(r.status, r.degenerate) for r in reports} == {
+        (NOT_APPLICABLE, False), (PASS, False), (PASS, True)}
+    assert all(any(r is s for s in shared) for r in reports)
 
 
 # ---------------------------------------------------------------------------

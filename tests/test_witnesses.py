@@ -239,6 +239,45 @@ def test_golden_covers_every_property():
         assert dkl <= failed, iname
 
 
+def _faulted(prop, at: int):
+    """``prop`` with comparison number ``at`` made to fail and every other one as it is."""
+
+    def comparisons(x):
+        for i, (ok, zero, names, values) in enumerate(prop.comparisons(x)):
+            yield ok and i != at, zero, names, values
+
+    return verify._Property(prop.pid, prop.applies, comparisons)
+
+
+def test_a_fault_before_the_last_comparison_names_that_comparison():
+    """The witness holds the failing comparison's values as they were when it was made.
+
+    Each comparison's names and values are read as the property yields
+    it; a later comparison (the next k) must not change the witness of
+    an earlier one, which a witness built after the loop from values
+    bound late would show.  Every property that makes more than one
+    comparison on these inputs is covered.
+    """
+    facts = [verify._MatrixFacts(IntegerMatrix.from_rows(rows)) for rows in MATRICES.values()]
+    records = [verify._Instance(g, s).vertex(v) for g, s, v in _instances().values()]
+    table = [(prop, x) for x in facts for prop in (*verify._MATRIX_PROPERTIES, verify._CONJ_MINORS)]
+    table += [(prop, x) for x in records for prop in (*verify._OPERATION_PROPERTIES, verify._CONJ_ALPHA)]
+    covered = set()
+    for prop, x in table:
+        if not prop.applies(x):
+            continue
+        assert not prop.report(x).failed, prop.pid
+        made = [dict(zip(names, values)) for _, _, names, values in prop.comparisons(x)]
+        for at in range(len(made) - 1):
+            report = _faulted(prop, at).report(x)
+            expected = {**x.payload, "property_id": prop.pid.value, **made[at]}
+            assert report.failed and list(report.witness.items()) == list(expected.items()), (prop.pid, at)
+            covered.add(prop.pid)
+    single = {"MINORFACTS_D", "D1D2STAR", "CHIO", "COR_ORDER_A", "COR_ORDER_B", "COR_ORDER_C",
+              *(f"PROP_ALPHA1_{x}" for x in "ABCDE")}
+    assert {pid.value for pid in covered} == {pid.value for pid in verify.PropertyId} - single
+
+
 if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     data = dict(scenarios())

@@ -14,6 +14,8 @@ from critgroups.jsonio import fixture_path
 MODULES = (critgroups, linalg, graphs, verify, enumeration, jsonio, cli)
 COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "_reduce", "_matrix",
            "_MinorTable", "_Instance")
+# classes whose constructions are counted: reports built, and matrices whose entries are checked
+BUILT = (verify.PropertyReport, linalg.IntegerMatrix)
 
 
 @pytest.fixture
@@ -25,9 +27,12 @@ def calls(monkeypatch) -> dict[str, int]:
     ``_MinorTable`` counts the minor tables built: each one scans the
     minors of one matrix.  ``_batch`` counts the row sets those tables
     evaluate in one batch.  ``_Instance`` counts the validated
-    (graph, structure) instances that ``verify`` builds.
+    (graph, structure) instances that ``verify`` builds.  ``PropertyReport``
+    counts the reports built after import, which leaves out the shared
+    reports without a witness, and ``IntegerMatrix`` the matrices built
+    through the constructor that checks every entry.
     """
-    counts = dict.fromkeys((*COUNTED, "_batch"), 0)
+    counts = dict.fromkeys((*COUNTED, "_batch", *(cls.__name__ for cls in BUILT)), 0)
     batch = linalg._MinorTable._batch
 
     def counting_batch(table, k, ri):
@@ -35,6 +40,13 @@ def calls(monkeypatch) -> dict[str, int]:
         return batch(table, k, ri)
 
     monkeypatch.setattr(linalg._MinorTable, "_batch", counting_batch)
+    for cls in BUILT:
+
+        def counting_init(self, *args, name=cls.__name__, init=cls.__init__, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
     for name in COUNTED:
         original = getattr(graphs, name, None) or getattr(linalg, name, None) or getattr(verify, name)
 
@@ -51,8 +63,10 @@ def calls(monkeypatch) -> dict[str, int]:
 def test_verify_all_vertices_computes_each_invariant_once(calls):
     argv = ["verify", str(fixture_path("simple7.graph.json")),
             str(fixture_path("simple7.structure.json")), "--all-vertices"]
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
+    assert "summary: 130 pass, 0 fail, 0 not applicable" in out.getvalue()
     # one validation at the boundary plus the self-check of each of the 7
     # reductions, which the instance computes without validating L again;
     # SNF(L) once, which also gives MINORFACTS_A and the operation family
@@ -63,7 +77,9 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     # once; no check reads L with v last, so it is never built.  One minor
     # table of L serves the profile of both matrix checks and the pivot
     # scan that gives every vertex its D_k*.  The batched row sets pin how
-    # far that scan runs before its GCDs reach 1
+    # far that scan runs before its GCDs reach 1.  No report fails, so none
+    # is built: each of the 130 is a shared one.  Every matrix is built from
+    # validated entries, so none is checked again
     assert calls == {
         "validate_structure": 8,
         "smith_normal_form": 11,
@@ -73,12 +89,15 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
         "_MinorTable": 1,
         "_Instance": 1,
         "_batch": 92,
+        "PropertyReport": 0,
+        "IntegerMatrix": 0,
     }
 
 
 def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     summary = verify.fuzz_campaign(verify.FuzzConfig(seed=0, case_count=100))
     assert summary.cases == 100
+    assert summary.failure_count == 0
     # per case: the case matrix's table, shared by its two checks, its SNF
     # for MINORFACTS_A, the SNFs of its two MINORFACTS_B submatrices and
     # one SNF for MINORFACTS_C when its corner submatrix is at least 2 x 2:
@@ -91,7 +110,10 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     # (self-check, L', SNF(L')), which does not validate the instance's
     # pair again, and L with v last for CONJ_MINORS, which reads D_k(L)
     # from SNF(L) and D_k* from the pivot scan: 43 + 78 validations and
-    # 43 + 2 * 78 matrices built
+    # 43 + 2 * 78 matrices built.  None of the 2,900 reports fails, so
+    # none is built, and no matrix has its entries checked: the case
+    # matrices come from ints the campaign draws, the others from entries
+    # of matrices already built
     assert calls == {
         "validate_structure": 121,
         "smith_normal_form": 482,
@@ -101,6 +123,8 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
         "_MinorTable": 143,
         "_Instance": 43,
         "_batch": 1531,
+        "PropertyReport": 0,
+        "IntegerMatrix": 0,
     }
 
 
@@ -125,4 +149,6 @@ def test_reduction_chain_validates_each_pair_once(calls, simple7):
         "_MinorTable": 0,
         "_Instance": 0,
         "_batch": 0,
+        "PropertyReport": 0,
+        "IntegerMatrix": 0,
     }
