@@ -27,11 +27,12 @@ from pathlib import Path
 
 from . import jsonio
 from .enumeration import EnumerationQuery, enumerate_structures
-from .graphs import GraphError, StructureError, laplacian_structure
+from .graphs import GraphError, StructureError, _Instance, laplacian_structure
 from .jsonio import FileFormatError
 
-# ``verify`` (and through it ``linalg``) is imported inside the commands
-# that build instances or run checks, so ``enumerate`` never loads either.
+# ``verify`` is imported inside the commands that run checks and the instance
+# loads ``linalg`` on first use, so ``enumerate`` loads neither and
+# ``critgroup`` and ``apply-op`` load no ``verify``.
 
 
 class _UsageError(Exception):
@@ -45,8 +46,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_instance(args):
     """The validated instance of the graph and structure named on the command line."""
-    from .verify import _Instance
-
     g = jsonio.load_graph(args.graph)
     if getattr(args, "laplacian", False):
         if getattr(args, "structure", None) is not None:
@@ -56,10 +55,6 @@ def _load_instance(args):
         if getattr(args, "structure", None) is None:
             raise _UsageError("a structure file (or --laplacian) is required")
         s = jsonio.load_structure(args.structure)
-        if s.n != g.n:
-            raise StructureError(
-                f"structure has {s.n} vertices but the graph has {g.n}"
-            )
     return _Instance(g, s)
 
 
@@ -213,10 +208,11 @@ def cmd_verify(args) -> int:
         PASS,
         PROVEN_IDS,
         _CONJ_ALPHA,
+        _CONJ_MINORS,
+        _MATRIX_PROPERTIES,
         _OPERATION_PROPERTIES,
-        _matrix_reports,
+        _facts,
         _operation_reports,
-        check_conjecture_minors,
     )
 
     inst = _load_instance(args)
@@ -228,9 +224,8 @@ def cmd_verify(args) -> int:
     json_bucket = [] if args.json else None
     all_reports = []
 
-    mat = inst.matrix
-    matrix_reports = _matrix_reports(mat, inst.snf)  # MINORFACTS_A reads the instance's SNF(L)
-    matrix_reports.append(check_conjecture_minors(mat))
+    facts = _facts(inst.matrix, inst)
+    matrix_reports = [prop.report(facts) for prop in (*_MATRIX_PROPERTIES, _CONJ_MINORS)]
     all_reports.extend(matrix_reports)
     _print_reports(matrix_reports, "matrix checks on L", json_bucket)
 

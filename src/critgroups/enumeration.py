@@ -118,6 +118,7 @@ def enumerate_structures(query: EnumerationQuery) -> list[ArithmeticalStructure]
             extend(k + 1)
 
     extend(0)
+    del extend  # extend holds itself through its closure cell; emptying the cell breaks that cycle
     return results
 
 

@@ -18,13 +18,21 @@ It generalizes the classical smoothing of a degree-two vertex and works
 at any vertex with any d value.  The reduction is homogeneous of degree
 2 in (mult, d), so it runs on L divided by its content h and multiplies
 the result by h^2.
+
+A pair is validated once, when its :class:`_Instance` is built, which
+then holds L, SNF(L), the group and the reductions, each built on first
+use.  ``instance_of`` keeps the last instance, the package's one module
+memo; a reduction records its self-checked output as the last instance,
+so each pair along a chain of reductions is validated once.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cache, cached_property, partial
+from itertools import accumulate
 from math import gcd, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING
 
 from ._record import Record
@@ -265,27 +273,6 @@ def validate_structure(g: Multigraph, d, r) -> StructureViolation | None:
     return None
 
 
-# (graph, structure) pairs known to be valid: the last pair that passed
-# validation, then the output of the last reduction of it, which
-# star_clique_reduction has validated itself
-_last_valid: tuple = ()
-
-
-def _ensure_valid(g: Multigraph, s: ArithmeticalStructure) -> None:
-    """Raise StructureError unless s is an arithmetical structure on g.
-
-    The pairs in ``_last_valid`` are not validated again, so a pair that
-    goes through several of the functions below is validated once, and so
-    is each pair along a chain of reductions.
-    """
-    global _last_valid
-    if (g, s) not in _last_valid:
-        violation = validate_structure(g, s.d, s.r)
-        if violation is not None:
-            raise StructureError(violation.message)
-        _last_valid = ((g, s),)
-
-
 def laplacian_structure(g: Multigraph) -> ArithmeticalStructure:
     """The Laplacian structure: d = vertex degrees, r = all ones."""
     return ArithmeticalStructure(
@@ -301,13 +288,12 @@ def structure_matrix(g: Multigraph, s: ArithmeticalStructure, last_vertex: int |
     order; this is the labeling under which the corner minors D_k* refer
     to v.
     """
-    _ensure_valid(g, s)
-    order = list(range(g.n))
-    if last_vertex is not None:
-        if not 0 <= last_vertex < g.n:
-            raise IndexError(f"vertex {last_vertex} out of range")
-        order = [i for i in order if i != last_vertex] + [last_vertex]
-    return _matrix(g, s, order)
+    inst = instance_of(g, s)
+    if last_vertex is None:
+        return inst.matrix
+    if not 0 <= last_vertex < g.n:
+        raise IndexError(f"vertex {last_vertex} out of range")
+    return _matrix(g, s, [*range(last_vertex), *range(last_vertex + 1, g.n), last_vertex])
 
 
 def _matrix(g: Multigraph, s: ArithmeticalStructure, order) -> IntegerMatrix:
@@ -323,9 +309,7 @@ def critical_group(g: Multigraph, s: ArithmeticalStructure) -> CriticalGroup:
 
     Its order is the gcd of the (n-1) x (n-1) minors of L.
     """
-    import critgroups.linalg as linalg
-
-    return CriticalGroup.from_snf(linalg.smith_normal_form(structure_matrix(g, s)), g.n)
+    return instance_of(g, s).group
 
 
 def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
@@ -352,26 +336,27 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
     The output is again a valid arithmetical structure; its matrix L' is
     exactly the condensation of L on the corner entry d[v] (see
     :func:`operation_matrix_consistency`).  It is validated here, and
-    recorded as valid, so reducing or factoring it next validates nothing.
+    recorded as the last instance, so reducing or factoring it next
+    validates nothing.
     """
+    global _last_instance
     n = g.n
     if n < 2:
         raise GraphError("reduction needs at least two vertices")
     if not 0 <= v < n:
         raise IndexError(f"vertex {v} out of range 0..{n - 1}")
-    _ensure_valid(g, s)
-    return _reduce(g, s, v)
+    instance_of(g, s)
+    result = _reduce(g, s, v)
+    _last_instance = _Instance(result.graph, result.structure, valid=True)
+    return result
 
 
 def _reduce(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
     """:func:`star_clique_reduction` of a pair already validated, at a vertex in range.
 
-    It runs the formulas on the input divided by h, the content of L, and
-    multiplies each output entry by h^2.  The graph is connected on at
-    least two vertices, so h > 0.  The output is still validated and
-    recorded as valid.
+    It runs the formulas on L divided by its content h > 0 (the graph is connected on
+    at least two vertices).  The output is still validated; a violation raises ArithmeticError.
     """
-    global _last_valid
     h = 0
     for x, row in zip(s.d, g.mult):
         h = gcd(h, x, *row)
@@ -404,7 +389,6 @@ def _reduce(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
             f"reduction at vertex {v} produced an invalid structure: {violation.message}; "
             f"input mult={g.mult}, d={s.d}, r={s.r}"
         )
-    _last_valid = ((g, s), (new_graph, new_structure))
     return ReductionResult(new_graph, new_structure, v, divisor)
 
 
@@ -417,6 +401,149 @@ def operation_matrix_consistency(g: Multigraph, s: ArithmeticalStructure, v: int
     """
     import critgroups.linalg as linalg
 
-    lhs = star_clique_reduction(g, s, v).matrix()
+    # the condensation first: the reduction then records its output as the last instance
     rhs = linalg.chio_condense(structure_matrix(g, s, last_vertex=v))
-    return lhs == rhs
+    return star_clique_reduction(g, s, v).matrix() == rhs
+
+
+_last_instance: _Instance | None = None
+
+
+def instance_of(g: Multigraph, s: ArithmeticalStructure) -> _Instance:
+    """The validated instance of (g, s), reused when the previous call had an equal pair.
+
+    Raises StructureError when s is not a structure on g.
+    """
+    global _last_instance
+    inst = _last_instance
+    if inst is None or (inst.graph, inst.structure) != (g, s):
+        inst = _last_instance = _Instance(g, s)
+    return inst
+
+
+def _snf_dk(snf: SnfResult) -> tuple[int, ...]:
+    """(D_0, ..., D_min): the prefix products of the zero-padded Smith diagonal."""
+    return tuple(accumulate(snf.diag, mul, initial=1))
+
+
+class _Instance:
+    """A (graph, structure) pair, validated once, and the invariants of its matrix L.
+
+    Building it raises StructureError unless s is a structure on g, of the
+    same size; ``valid=True`` skips that for a reduction's checked output.
+    L, SNF(L), ``dk`` = D_k(L), the group, the minor table of L and its
+    pivot scan are built on first use.  SNF(L) and the pivot scan serve
+    every vertex, as moving v last permutes rows and columns alike.
+    """
+
+    def __init__(self, g: Multigraph, s: ArithmeticalStructure, valid: bool = False) -> None:
+        if not valid:
+            if s.n != g.n:
+                raise StructureError(f"structure has {s.n} vertices but the graph has {g.n}")
+            violation = validate_structure(g, s.d, s.r)
+            if violation is not None:
+                raise StructureError(violation.message)
+        self.graph, self.structure = g, s
+        self._vertices: dict[int, _Vertex] = {}
+
+    @cached_property
+    def matrix(self) -> IntegerMatrix:
+        return _matrix(self.graph, self.structure, range(self.graph.n))
+
+    @cached_property
+    def snf(self) -> SnfResult:
+        import critgroups.linalg as linalg
+
+        return linalg.smith_normal_form(self.matrix)
+
+    @cached_property
+    def dk(self) -> tuple[int, ...]:
+        return _snf_dk(self.snf)
+
+    @cached_property
+    def group(self) -> CriticalGroup:
+        return CriticalGroup.from_snf(self.snf, self.graph.n)
+
+    @cached_property
+    def table(self):
+        """``table()`` is the minor table of L, built on first call; like ``pivots``
+        it refers to L, not to the instance, so vertex records holding it form no cycle."""
+        import critgroups.linalg as linalg
+
+        return cache(partial(linalg._MinorTable, self.matrix))
+
+    @cached_property
+    def pivots(self):
+        """``pivots()[v]`` is D_1*..D_n* of L with v last, from the pivot scan of the table of L."""
+        table = self.table
+        return cache(lambda: table().pivot_sequences())
+
+    def vertex(self, v: int) -> _Vertex:
+        """The record of the reduction at v (0-based), built on first use."""
+        if v not in self._vertices:
+            self._vertices[v] = _Vertex(self, v)
+        return self._vertices[v]
+
+
+class _Vertex:
+    """What the operation family compares at one vertex v of an instance.
+
+    ``matrix`` is L with v last, built on first use, ``m`` = d[v] and
+    ``g`` the gcd of its last row; ``alpha``/``alpha_p`` are the invariant
+    factors of L and of L' (a_k = alpha[k-1]) and ``order``/``order_p``
+    the group orders, from SNF(L) and ``snf_p`` = SNF(L').  ``dk``, D_k(L),
+    and ``dkp``, D_k(L'), are the prefix products of the two diagonals.
+    D_k*(L with v last) comes from the instance's pivot scan of L, on
+    first use.  No SNF enters it, so THM_DKL_A compares values of
+    different engines.
+    """
+
+    def __init__(self, inst: _Instance, v: int) -> None:
+        import critgroups.linalg as linalg
+
+        g, s = inst.graph, inst.structure
+        self.pivots, self.dk = inst.pivots, inst.dk
+        self.graph, self.structure, self.v = g, s, v
+        self.n, self.m = g.n, s.d[v]
+        # row v of L is the last row of L with v last
+        self.g = linalg.row_gcd(inst.matrix, v)
+        self.gg = self.g * self.g
+        self.alpha, self.order = inst.group.invariant_factors, inst.group.order
+        # the instance has validated the pair: neither the reduction nor L with v last validates it again
+        self.reduction = _reduce(g, s, v)
+        self.reduced_matrix = self.reduction.matrix()
+        self.snf_p = linalg.smith_normal_form(self.reduced_matrix)
+        self.after = CriticalGroup.from_snf(self.snf_p, self.n - 1)
+        self.alpha_p, self.order_p = self.after.invariant_factors, self.after.order
+
+    @property
+    def payload(self) -> dict:
+        """The input part of a witness, built afresh for each failing report."""
+        s = self.structure
+        return {"graph_mult": [list(row) for row in self.graph.mult], "d": list(s.d),
+                "r": list(s.r), "vertex": self.v}
+
+    @cached_property
+    def lower(self) -> int:
+        """m^(n-3) |K|, the COR_ORDER lower bound on |K'| (n >= 3)."""
+        return self.m ** (self.n - 3) * self.order
+
+    @cached_property
+    def upper(self) -> int:
+        """g^2 m^(n-3) |K|, the COR_ORDER upper bound on |K'|."""
+        return self.gg * self.lower
+
+    @cached_property
+    def matrix(self) -> IntegerMatrix:
+        """L with v last."""
+        return _matrix(self.graph, self.structure, [*range(self.v), *range(self.v + 1, self.n), self.v])
+
+    @cached_property
+    def dk_star(self) -> tuple[int, ...]:
+        """D_k*(L) with v last, k = 1..n."""
+        return self.pivots()[self.v]
+
+    @cached_property
+    def dkp(self) -> tuple[int, ...]:
+        """D_k(L'), k = 0..n-1, from SNF(L')."""
+        return _snf_dk(self.snf_p)

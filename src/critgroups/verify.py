@@ -29,12 +29,11 @@ immutable and shared, one per (id, status, degenerate), built at import;
 a check builds a report only when it fails.
 
 The inputs of the checks are computed once: a (graph, structure) pair
-becomes one validated :class:`_Instance` that holds L, SNF(L), the pivot
-scan of L and, per vertex, the reduction and everything derived from it;
-the last instance and the last minor table are kept, so consecutive
-checks of the same pair or matrix share them.  A fuzz campaign keeps one
-instance per pair it draws, and the CLI builds one and hands it to the
-operation family.
+becomes one validated ``graphs._Instance`` (L, SNF(L), the pivot scan of
+L and, per vertex, the reduction and what derives from it).  The CLI
+hands one to both families and a fuzz campaign keeps one per pair drawn.
+The public checks share ``graphs.instance_of``'s last instance, and its
+minor table and SNF(L) when their matrix is its L.
 
 Determinantal divisors come from two engines.  Minor scans: one minor
 table per matrix (``linalg._MinorTable``) evaluates each of its minors
@@ -68,20 +67,12 @@ import random
 from collections.abc import Callable, Iterable
 from enum import Enum
 from functools import cache, cached_property, partial
-from itertools import accumulate
 from math import gcd
-from operator import mul
 
+from . import graphs
 from ._record import Record
 from .enumeration import EnumerationQuery, enumerate_structures
-from .graphs import (
-    ArithmeticalStructure,
-    CriticalGroup,
-    Multigraph,
-    _matrix,
-    _reduce,
-    structure_matrix,
-)
+from .graphs import ArithmeticalStructure, Multigraph, _Instance, _snf_dk, _Vertex, instance_of
 from .linalg import (
     IntegerMatrix,
     MinorGcdProfile,
@@ -92,7 +83,6 @@ from .linalg import (
     chio_condense,
     corner_divisors,
     determinant,
-    row_gcd,
     smith_normal_form,
 )
 
@@ -174,142 +164,22 @@ def divides(a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # shared inputs
 
-_last_table: _MinorTable | None = None
-_last_instance: _Instance | None = None
-
-
-def _table(m: IntegerMatrix) -> _MinorTable:
-    """The minor table of m, reused when the previous call had an equal matrix."""
-    global _last_table
-    if _last_table is None or _last_table.matrix != m:
-        _last_table = _MinorTable(m)
-    return _last_table
-
-
-def _snf_dk(snf: SnfResult) -> tuple[int, ...]:
-    """(D_0, ..., D_min): the prefix products of the zero-padded Smith diagonal."""
-    return tuple(accumulate(snf.diag, mul, initial=1))
-
-
-def instance_of(g: Multigraph, s: ArithmeticalStructure) -> _Instance:
-    """The validated instance of (g, s), reused when the previous call had an equal pair.
-
-    Raises StructureError when s is not a structure on g.
-    """
-    global _last_instance
-    if _last_instance is None or (_last_instance.graph, _last_instance.structure) != (g, s):
-        _last_instance = _Instance(g, s)
-    return _last_instance
-
-
-class _Instance:
-    """A (graph, structure) pair, validated once, and the invariants of its matrix L.
-
-    Building it validates the pair (``structure_matrix`` does).  SNF(L)
-    and ``dk``, its prefix products D_k(L), serve every vertex: moving v
-    last permutes rows and columns alike, which leaves the Smith form
-    unchanged.  So does the pivot scan of L, run on first use in the
-    minor table of L, the same table the matrix checks used if they ran
-    on L last.  The instance keeps the scan's sequences and no minor
-    table, so a fuzz campaign can hold one instance per pair it draws,
-    for the whole campaign.
-    """
-
-    def __init__(self, g: Multigraph, s: ArithmeticalStructure) -> None:
-        self.graph = g
-        self.structure = s
-        self.matrix = structure_matrix(g, s)
-        self.snf = smith_normal_form(self.matrix)
-        self.dk = _snf_dk(self.snf)
-        self.group = CriticalGroup.from_snf(self.snf, g.n)
-        # per vertex v the D_1*..D_n* of L with v last; it refers to L, not to
-        # the instance, so the vertex records sharing it form no cycle
-        self.pivots = cache(lambda m=self.matrix: _table(m).pivot_sequences())
-        self._vertices: dict[int, _Vertex] = {}
-
-    def vertex(self, v: int) -> _Vertex:
-        """The record of the reduction at v (0-based), built on first use."""
-        if v not in self._vertices:
-            self._vertices[v] = _Vertex(self, v)
-        return self._vertices[v]
-
-
-class _Vertex:
-    """What the operation family compares at one vertex v of an instance.
-
-    ``matrix`` is L with v last, built on first use, ``m`` = d[v] and
-    ``g`` the gcd of its last row; ``alpha``/``alpha_p`` are the invariant
-    factors of L and of L' (a_k = alpha[k-1]) and ``order``/``order_p``
-    the group orders, from SNF(L) and ``snf_p`` = SNF(L').  ``dk``, D_k(L),
-    and ``dkp``, D_k(L'), are the prefix products of the two diagonals.
-    D_k*(L with v last) comes from the instance's pivot scan of L, on
-    first use; one scan serves every vertex, since moving v last only
-    permutes rows and columns alike.  No SNF enters it, so THM_DKL_A
-    compares values of different engines.
-    """
-
-    def __init__(self, inst: _Instance, v: int) -> None:
-        g, s = inst.graph, inst.structure
-        self.pivots, self.dk = inst.pivots, inst.dk
-        self.graph, self.structure, self.v = g, s, v
-        self.n = g.n
-        self.m = s.d[v]
-        # row v of L is the last row of L with v last
-        self.g = row_gcd(inst.matrix, v)
-        self.gg = self.g * self.g
-        self.alpha, self.order = inst.group.invariant_factors, inst.group.order
-        # the instance has validated the pair: neither the reduction nor L with v last validates it again
-        self.reduction = _reduce(g, s, v)
-        self.reduced_matrix = self.reduction.matrix()
-        self.snf_p = smith_normal_form(self.reduced_matrix)
-        self.after = CriticalGroup.from_snf(self.snf_p, self.n - 1)
-        self.alpha_p, self.order_p = self.after.invariant_factors, self.after.order
-
-    @property
-    def payload(self) -> dict:
-        """The input part of a witness, built afresh for each failing report."""
-        s = self.structure
-        return {"graph_mult": [list(row) for row in self.graph.mult], "d": list(s.d),
-                "r": list(s.r), "vertex": self.v}
-
-    @cached_property
-    def lower(self) -> int:
-        """m^(n-3) |K|, the COR_ORDER lower bound on |K'| (n >= 3)."""
-        return self.m ** (self.n - 3) * self.order
-
-    @cached_property
-    def upper(self) -> int:
-        """g^2 m^(n-3) |K|, the COR_ORDER upper bound on |K'|."""
-        return self.gg * self.lower
-
-    @cached_property
-    def matrix(self) -> IntegerMatrix:
-        """L with v last."""
-        return _matrix(self.graph, self.structure, [*range(self.v), *range(self.v + 1, self.n), self.v])
-
-    @cached_property
-    def dk_star(self) -> tuple[int, ...]:
-        """D_k*(L) with v last, k = 1..n."""
-        return self.pivots()[self.v]
-
-    @cached_property
-    def dkp(self) -> tuple[int, ...]:
-        """D_k(L'), k = 0..n-1, from SNF(L')."""
-        return _snf_dk(self.snf_p)
-
 
 class _MatrixFacts:
     """What the matrix family compares on one matrix.
 
     ``dk`` and ``dks`` come from the profile of the minor table of m
-    unless the caller gives them; ``snf_dk``, the D_k that MINORFACTS_A
-    divides into D_k*, from SNF(m), which the caller may give as ``snf``.
+    unless the caller gives them; the caller may give the table too.
+    ``snf_dk``, the D_k that MINORFACTS_A divides into D_k*, comes from
+    SNF(m), which the caller may give as ``snf``.
     """
 
     def __init__(self, m: IntegerMatrix, dk: tuple[int, ...] | None = None,
-                 dks: tuple[int, ...] | None = None, snf: SnfResult | None = None) -> None:
+                 dks: tuple[int, ...] | None = None, snf: SnfResult | None = None,
+                 table: _MinorTable | None = None) -> None:
         self.m = m
         self.size = min(m.rows, m.cols)
+        self.table = table
         if dk is None:
             dk, dks = self.profile.dk, self.profile.dk_star
         self.dk, self.dks = dk, dks
@@ -325,7 +195,7 @@ class _MatrixFacts:
 
     @cached_property
     def profile(self) -> MinorGcdProfile:
-        return _table(self.m).profile()
+        return (_MinorTable(self.m) if self.table is None else self.table).profile()
 
     @cached_property
     def snf_dk(self) -> tuple[int, ...]:
@@ -580,18 +450,23 @@ def verify_minor_properties(m: IntegerMatrix) -> list[PropertyReport]:
     keeps the check linear in the profile cost while still exercising the
     interesting direction (the deleted line is never the corner line).
     """
-    return _matrix_reports(m)
-
-
-def _matrix_reports(m: IntegerMatrix, snf: SnfResult | None = None) -> list[PropertyReport]:
-    """The matrix family on m; MINORFACTS_A reads ``snf`` as SNF(m) when given."""
-    facts = _MatrixFacts(m, snf=snf)
+    facts = _facts(m)
     return [prop.report(facts) for prop in _MATRIX_PROPERTIES]
 
 
 def check_conjecture_minors(m: IntegerMatrix) -> PropertyReport:
     """Open statement: D_k D_{k+1}* | D_k* D_{k+1} for every k = 1..min-1."""
-    return _CONJ_MINORS.report(_MatrixFacts(m))
+    return _CONJ_MINORS.report(_facts(m))
+
+
+def _facts(m: IntegerMatrix, inst: _Instance | None = None) -> _MatrixFacts:
+    """The facts of m.  When m is the L that ``inst`` (by default the last
+    instance) has built, MINORFACTS_A reads its SNF(L) and the profile the
+    table of L that its pivot scan reads."""
+    inst = inst or graphs._last_instance
+    if inst is not None and vars(inst).get("matrix") is m:
+        return _MatrixFacts(m, snf=inst.snf, table=inst.table())
+    return _MatrixFacts(m)
 
 
 def _vertex_minors_report(record: _Vertex) -> PropertyReport:
@@ -854,10 +729,11 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
     (graph, structure, vertex) instance per case from the configured
     enumeration queries.  Each (graph, structure) pair drawn gets one
     :class:`_Instance`, kept from the first case that draws the pair to
-    the last; it holds no minor table, so the instances grow with the
-    pairs drawn, not with the cases.  The draws are made once, up front,
-    one list entry per case.  Failing matrix witnesses are minimized
-    before being recorded.  When ``archive_dir`` is given, each failure
+    the last, so the instances, each with the minor table of its L, grow
+    with the pairs drawn, not with the cases.  The draws are made once, up
+    front, one list entry per case.  Both checks of a case matrix read one
+    set of facts.  Failing matrix witnesses are minimized before being
+    recorded.  When ``archive_dir`` is given, each failure
     is also written there as a JSON witness file.
     """
     from . import jsonio  # local import: jsonio is the serialization boundary
@@ -890,11 +766,11 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
     for index in range(cfg.case_count):
         reports: list[PropertyReport] = []
         if want_matrix_props or want_minors:
-            mtx = case_matrix(cfg, index)
+            facts = _MatrixFacts(case_matrix(cfg, index))
             if want_matrix_props:
-                reports.extend(verify_minor_properties(mtx))
+                reports.extend(prop.report(facts) for prop in _MATRIX_PROPERTIES)
             if want_minors:
-                reports.append(check_conjecture_minors(mtx))
+                reports.append(_CONJ_MINORS.report(facts))
         if case_draws:
             pair, v = case_draws[index]
             inst = live.pop(pair, None) or _Instance(*pairs[pair])

@@ -1,4 +1,4 @@
-"""Shared builders for the two worked examples and for seeded structures, and fresh package memos for every test."""
+"""Shared builders for the two worked examples and for seeded structures, and a fresh package memo for every test."""
 
 from __future__ import annotations
 
@@ -76,11 +76,19 @@ def seeded_structure(rng: random.Random, n: int, r_max: int, c_max: int) -> tupl
     return Multigraph(mult), ArithmeticalStructure(d, tuple(r))
 
 
+def failing_property(pid: verify.PropertyId) -> verify._Property:
+    """A row of the property table for ``pid`` that applies to every input and fails on each.
+
+    Patched over a row of ``verify._MATRIX_PROPERTIES`` or over
+    ``verify._CONJ_MINORS``, it injects a synthetic failure into the
+    public checks and into a fuzz campaign, which both read the table.
+    """
+    return verify._Property(pid, lambda x: True, lambda x: ((False, False, ("note",), ("synthetic",)),))
+
+
 def forget_memos() -> None:
-    """Drop the valid pairs, instance and minor table that the package keeps from its last calls."""
-    graphs._last_valid = ()
-    verify._last_instance = None
-    verify._last_table = None
+    """Drop the instance that the package keeps from its last call."""
+    graphs._last_instance = None
 
 
 @pytest.fixture(autouse=True)

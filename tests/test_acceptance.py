@@ -36,7 +36,6 @@ from critgroups.verify import (
     NOT_APPLICABLE,
     FuzzConfig,
     PropertyId,
-    PropertyReport,
     case_matrix,
     check_conjecture_alpha,
     check_conjecture_minors,
@@ -44,6 +43,8 @@ from critgroups.verify import (
     verify_minor_properties,
     verify_operation_theorems,
 )
+
+from conftest import failing_property
 
 CORPUS = FuzzConfig(seed=20260814, matrix_dims=(2, 6), entry_bound=9, case_count=10_000)
 
@@ -215,17 +216,10 @@ def test_criterion_7_conjecture_campaign(corpus, op_instances, tmp_path, monkeyp
             failures.append(f"CONJ_MINORS on L of {(s.d, s.r, v)}")
 
     # the witness pipeline must demonstrably archive an injected failure
-    real_check = verify.check_conjecture_minors
-
-    def fake_check(m: IntegerMatrix) -> PropertyReport:
-        return PropertyReport(
-            PropertyId.CONJ_MINORS, FAIL, {"matrix": [list(row) for row in m.entries]}
-        )
-
-    monkeypatch.setattr(verify, "check_conjecture_minors", fake_check)
+    monkeypatch.setattr(verify, "_CONJ_MINORS", failing_property(PropertyId.CONJ_MINORS))
     cfg = FuzzConfig(seed=99, case_count=1, target="minors")
     summary = fuzz_campaign(cfg, archive_dir=tmp_path)
-    monkeypatch.setattr(verify, "check_conjecture_minors", real_check)
+    monkeypatch.undo()
     if summary.failure_count != 1 or len(summary.witness_paths) != 1:
         failures.append(f"injected failure not archived: {summary.witness_paths}")
     else:
@@ -233,7 +227,7 @@ def test_criterion_7_conjecture_campaign(corpus, op_instances, tmp_path, monkeyp
         archived = IntegerMatrix.from_rows(payload["witness"]["matrix_original"])
         if archived != case_matrix(cfg, 0):
             failures.append("archived witness does not reproduce its case")
-        if real_check(archived).status == FAIL:
+        if check_conjecture_minors(archived).status == FAIL:
             failures.append("injected failure was not synthetic after all")
     conclude(7, failures)
 

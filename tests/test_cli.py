@@ -15,8 +15,9 @@ import pytest
 import critgroups.verify as verify
 from critgroups.cli import main
 from critgroups.jsonio import fixture_path, load_graph, load_structure
-from critgroups.linalg import IntegerMatrix
-from critgroups.verify import FAIL, PropertyId, PropertyReport
+from critgroups.verify import PropertyId
+
+from conftest import failing_property
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SIMPLE7_GRAPH = str(fixture_path("simple7.graph.json"))
@@ -179,6 +180,14 @@ def test_length_mismatch_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "critgroup", NONSIMPLE_GRAPH, str(short))
     assert code == 3
     assert "validation error" in err
+
+
+def test_short_structure_names_both_sizes(capsys, tmp_path):
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"d": [1, 1], "r": [1, 1]}))
+    code, out, err = run_cli(capsys, "critgroup", SIMPLE7_GRAPH, str(short))
+    assert (code, out) == (3, "")
+    assert err == "validation error: structure has 2 vertices but the graph has 7\n"
 
 
 def test_disconnected_graph_exits_3(capsys, tmp_path):
@@ -463,11 +472,7 @@ def test_fuzz_json_and_target(capsys):
 
 
 def test_fuzz_proven_failure_exits_1(capsys, tmp_path, monkeypatch):
-    def fake_battery(m: IntegerMatrix):
-        witness = {"matrix": [list(row) for row in m.entries]}
-        return [PropertyReport(PropertyId.MINORFACTS_A, FAIL, witness)]
-
-    monkeypatch.setattr(verify, "verify_minor_properties", fake_battery)
+    monkeypatch.setattr(verify, "_MATRIX_PROPERTIES", (failing_property(PropertyId.MINORFACTS_A),))
     code, out, _ = run_cli(
         capsys,
         "fuzz",
@@ -490,10 +495,7 @@ def test_fuzz_proven_failure_exits_1(capsys, tmp_path, monkeypatch):
 
 
 def test_unwritable_archive_dir_exits_4(capsys, tmp_path, monkeypatch):
-    def fake_battery(m: IntegerMatrix):
-        return [PropertyReport(PropertyId.MINORFACTS_A, FAIL, {"matrix": [[1]]})]
-
-    monkeypatch.setattr(verify, "verify_minor_properties", fake_battery)
+    monkeypatch.setattr(verify, "_MATRIX_PROPERTIES", (failing_property(PropertyId.MINORFACTS_A),))
     occupied = tmp_path / "occupied"
     occupied.write_text("")
     code, _, err = run_cli(

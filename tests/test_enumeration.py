@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import product
 from math import comb, gcd
@@ -70,6 +71,18 @@ def random_multigraphs(seed: int, count: int) -> list[tuple[Multigraph, int]]:
 def test_enumeration_matches_box_scan(graph, r_max):
     got = enumerate_structures(EnumerationQuery(graph, r_max))
     assert [(s.d, s.r) for s in got] == brute_enumerate(graph, r_max)
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    """Everything a search allocates is freed when it returns, with no garbage collection."""
+    query = EnumerationQuery(Multigraph.cycle(4), 6)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_structures(query)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_single_vertex_has_exactly_the_trivial_structure():

@@ -49,14 +49,24 @@ def fresh_python(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def test_enumerate_loads_neither_verify_nor_linalg():
+def test_enumerate_loads_neither_verify_nor_linalg(tmp_path):
     graph = str(fixture_path("nonsimple4.graph.json"))
+    structure_a = str(fixture_path("nonsimple4.structure-a.json"))
     structure = str(fixture_path("nonsimple4.structure-b.json"))
-    argvs = (["enumerate", graph, "--rmax", "2"], ["verify", graph, structure, "--vertex", "4"])
-    enumerated, verified = json.loads(fresh_python(CLI_PROBE, *map(json.dumps, argvs)))
+    argvs = (["enumerate", graph, "--rmax", "2"], ["critgroup", graph, structure_a],
+             ["apply-op", graph, structure, "--vertex", "4", "--out", str(tmp_path / "reduced")],
+             ["verify", graph, structure, "--vertex", "4"])
+    enumerated, critgroup, apply_op, verified = json.loads(fresh_python(CLI_PROBE, *map(json.dumps, argvs)))
     assert enumerated["code"] == 0 and "found 9 structures" in enumerated["out"]
     assert "critgroups.verify" not in enumerated["loaded"]
     assert "critgroups.linalg" not in enumerated["loaded"]
+    # critgroup and apply-op, in the same process afterwards, print their usual
+    # output from the instance in graphs: they load linalg but not the checks
+    for run, golden in ((critgroup, "critgroup-nonsimple4-a"), (apply_op, "apply-op-nonsimple4-b")):
+        assert run["code"] == 0
+        assert run["out"].replace(str(tmp_path), "<OUT>") == (GOLDEN / f"{golden}.out").read_text()
+        assert "critgroups.linalg" in run["loaded"]
+        assert "critgroups.verify" not in run["loaded"]
     # verify, in the same process afterwards, loads both and prints its usual summary
     assert verified["code"] == 0
     assert {"critgroups.verify", "critgroups.linalg"} <= set(verified["loaded"])

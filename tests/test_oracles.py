@@ -25,6 +25,7 @@ from math import gcd, prod
 
 import pytest
 
+import critgroups.graphs as graphs
 import critgroups.linalg as linalg
 import critgroups.verify as verify
 from critgroups import cli, jsonio
@@ -179,8 +180,9 @@ def test_instance_dk_of_complete_graphs_matches_the_closed_form(n, monkeypatch):
         raise AssertionError("a minor scan ran")
 
     monkeypatch.setattr(verify, "_MinorTable", no_scan)
+    monkeypatch.setattr(linalg, "_MinorTable", no_scan)
     kn = complete_graph(n)
-    inst = verify._Instance(kn, laplacian_structure(kn))
+    inst = graphs._Instance(kn, laplacian_structure(kn))
     assert inst.dk == (1, *(n ** k for k in range(n - 1)), 0)
     bounds = [p for p in verify._OPERATION_PROPERTIES if p.pid.value in ("THM_DKL_B", "THM_DKL_C", "THM_DKL_D")]
     reports = verify._operation_reports(inst, 0, bounds)

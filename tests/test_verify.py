@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import critgroups.graphs as graphs
+import critgroups.linalg as linalg
 import critgroups.verify as verify
 from critgroups.enumeration import EnumerationQuery, enumerate_structures
 from critgroups.graphs import (
@@ -44,7 +46,7 @@ from critgroups.verify import (
     verify_operation_theorems,
 )
 
-from conftest import forget_memos
+from conftest import failing_property, forget_memos
 
 L1 = IntegerMatrix.from_rows(
     [
@@ -241,7 +243,10 @@ def test_shared_values_equal_direct_calls(nonsimple_b):
     from critgroups.graphs import critical_group, star_clique_reduction, structure_matrix
 
     g, s = nonsimple_b
-    inst = verify.instance_of(g, s)
+    inst = graphs.instance_of(g, s)
+    # an equal pair built anew is the same instance, until another pair is asked for
+    twin = (Multigraph(tuple(g.mult)), ArithmeticalStructure(tuple(s.d), tuple(s.r)))
+    assert graphs.instance_of(*twin) is inst
     assert inst.group == critical_group(g, s)
     # what ``critgroup`` prints: D_k from SNF(L), D_k* from corner_divisors
     direct = minor_gcd_profile(structure_matrix(g, s))
@@ -257,11 +262,8 @@ def test_shared_values_equal_direct_calls(nonsimple_b):
         assert (record.dk, record.dk_star) == (direct.dk, direct.dk_star)
         assert record.dkp == minor_gcd_profile(record.reduced_matrix).dk
         assert inst.vertex(v) is record
-    # an equal pair built anew is the same instance; another pair is not
-    twin = (Multigraph(tuple(g.mult)), ArithmeticalStructure(tuple(s.d), tuple(s.r)))
-    assert verify.instance_of(*twin) is inst
     other = laplacian_structure(g)
-    assert verify.instance_of(g, other).structure == other
+    assert graphs.instance_of(g, other).structure == other
 
 
 def random_multigraph_structures(seed: int, count: int) -> list[tuple[Multigraph, ArithmeticalStructure]]:
@@ -322,15 +324,15 @@ def test_conj_minors_from_the_pivot_scan_equals_the_scan_of_l_with_v_last(monkey
     pairs += weighted_structures(seed=12, count=120)
     cases = 0
     for g, s in pairs:
-        inst = verify._Instance(g, s)
+        inst = graphs._Instance(g, s)
         for v in range(g.n):
             seen.clear()
             shared = verify._vertex_minors_report(inst.vertex(v))
-            (facts,) = seen
             m = structure_matrix(g, s, last_vertex=v)
             assert shared == check_conjecture_minors(m), (s, v)
-            # minor_gcd_profile(m) without a second scan: the table of m that the check just built
-            direct = verify._table(m).profile()
+            # minor_gcd_profile(m) without a second scan: the profile the check just read
+            facts, public = seen
+            direct = public.profile
             assert facts.m == m and (facts.dk, facts.dks) == (direct.dk, direct.dk_star), (s, v)
             cases += 1
     assert cases > 12000
@@ -378,7 +380,7 @@ def test_dkp_equals_the_minor_scan_of_the_reduced_matrix():
     pairs += random_multigraph_structures(seed=6, count=60)
     cases = 0
     for g, s in pairs:
-        inst = verify.instance_of(g, s)
+        inst = graphs.instance_of(g, s)
         for v in range(g.n):
             record = inst.vertex(v)
             assert record.dkp == minor_gcd_profile(record.reduced_matrix).dk, (s, v)
@@ -441,7 +443,7 @@ def test_operation_family_at_eleven_vertices():
     for s in (laplacian_structure(cycle), random.Random(11).choice(structures)):
         for v in range(n):
             assert not any(r.failed for r in verify_operation_theorems(cycle, s, v)), (s, v)
-            record = verify.instance_of(cycle, s).vertex(v)
+            record = graphs.instance_of(cycle, s).vertex(v)
             assert record.dkp[n - 1] == 0
             reduced, r_p = record.reduced_matrix, record.reduction.structure.r
             for u in range(n - 1):
@@ -454,10 +456,10 @@ def test_invalid_pairs_are_never_remembered(nonsimple_a):
 
     g, s = nonsimple_a
     bad = ArithmeticalStructure((1, 1, 1, 1), (1, 1, 1, 1))
-    verify.instance_of(g, s)
+    graphs.instance_of(g, s)
     for _ in range(2):
         with pytest.raises(StructureError):
-            verify.instance_of(g, bad)
+            graphs.instance_of(g, bad)
         with pytest.raises(StructureError):
             structure_matrix(g, bad)
         with pytest.raises(StructureError):
@@ -466,11 +468,30 @@ def test_invalid_pairs_are_never_remembered(nonsimple_a):
             check_conjecture_alpha(g, bad, 0)
 
 
+def test_a_structure_of_another_length_is_a_structure_error():
+    """Every entry point that builds an instance rejects a 2-entry structure on P3 with StructureError.
+
+    ``validate_structure``, which takes bare vectors, keeps its ValueError.
+    """
+    from critgroups.graphs import critical_group, star_clique_reduction, structure_matrix, validate_structure
+
+    g, short = Multigraph.path(3), ArithmeticalStructure((1, 1), (1, 1))
+    calls = (lambda: critical_group(g, short), lambda: structure_matrix(g, short),
+             lambda: star_clique_reduction(g, short, 0), lambda: verify_operation_theorems(g, short, 0),
+             lambda: check_conjecture_alpha(g, short, 0))
+    for call in calls:
+        with pytest.raises(StructureError, match="^structure has 2 vertices but the graph has 3$"):
+            call()
+    with pytest.raises(ValueError, match="expected vectors of length 3, got d:2 r:2") as excinfo:
+        validate_structure(g, short.d, short.r)
+    assert excinfo.type is ValueError
+
+
 def test_wrong_smith_rank_raises(nonsimple_a, monkeypatch):
     from critgroups.linalg import SnfResult
 
     g, s = nonsimple_a
-    monkeypatch.setattr(verify, "smith_normal_form", lambda m: SnfResult((1,) * m.rows, m.rows))
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda m: SnfResult((1,) * m.rows, m.rows))
     with pytest.raises(ArithmeticError, match="Smith rank 4, expected 3"):
         verify_operation_theorems(g, s, 0)
 
@@ -628,14 +649,14 @@ def test_injected_failures_on_redrawn_pairs_equal_the_loop(monkeypatch):
     loop, and two failures of one pair never share a witness object.
     """
     queries = battery()
-    real_row_gcd, real_minors = verify.row_gcd, verify._CONJ_MINORS
+    real_row_gcd, real_minors = linalg.row_gcd, verify._CONJ_MINORS
 
     def wrong_d1(x):
         if x.m.rows == 4:
             x = verify._MatrixFacts(x.m, (1, x.dk[1] + 1, *x.dk[2:]), x.dks)
         return real_minors.comparisons(x)
 
-    monkeypatch.setattr(verify, "row_gcd", lambda m, i: 0 if m.rows == 4 else real_row_gcd(m, i))
+    monkeypatch.setattr(linalg, "row_gcd", lambda m, i: 0 if m.rows == 4 else real_row_gcd(m, i))
     monkeypatch.setattr(verify, "_CONJ_MINORS",
                         verify._Property(PropertyId.CONJ_MINORS, real_minors.applies, wrong_d1))
     for target in ("all", "theorems"):
@@ -730,15 +751,10 @@ def test_shrinker_keeps_row_count_when_needed():
 
 
 def test_injected_failure_is_shrunk_and_archived(tmp_path, monkeypatch):
-    real_check = verify.check_conjecture_minors
-
-    def fake_check(m: IntegerMatrix) -> PropertyReport:
-        witness = {"matrix": [list(row) for row in m.entries], "note": "synthetic"}
-        return PropertyReport(PropertyId.CONJ_MINORS, FAIL, witness)
-
-    monkeypatch.setattr(verify, "check_conjecture_minors", fake_check)
+    monkeypatch.setattr(verify, "_CONJ_MINORS", failing_property(PropertyId.CONJ_MINORS))
     cfg = FuzzConfig(seed=5, case_count=4, target="minors")
     summary = fuzz_campaign(cfg, archive_dir=tmp_path / "witnesses")
+    monkeypatch.undo()
 
     assert summary.failure_count == 4
     assert summary.proven_failure_count == 0  # a conjecture, not a theorem
@@ -756,16 +772,11 @@ def test_injected_failure_is_shrunk_and_archived(tmp_path, monkeypatch):
         original = IntegerMatrix.from_rows(payload["witness"]["matrix_original"])
         assert original == case_matrix(cfg, index)
         # the archived case is genuinely synthetic: the real check passes on it
-        assert real_check(original).status == PASS
+        assert check_conjecture_minors(original).status == PASS
 
 
 def test_injected_failure_witness_names_are_reproducible(tmp_path, monkeypatch):
-    def fake_check(m: IntegerMatrix) -> PropertyReport:
-        return PropertyReport(
-            PropertyId.CONJ_MINORS, FAIL, {"matrix": [list(row) for row in m.entries]}
-        )
-
-    monkeypatch.setattr(verify, "check_conjecture_minors", fake_check)
+    monkeypatch.setattr(verify, "_CONJ_MINORS", failing_property(PropertyId.CONJ_MINORS))
     cfg = FuzzConfig(seed=2, case_count=2, target="minors")
     first = fuzz_campaign(cfg, archive_dir=tmp_path / "a")
     second = fuzz_campaign(cfg, archive_dir=tmp_path / "b")

@@ -4,7 +4,10 @@ Each scenario runs the public checks on a real input while one seam
 returns one entry made inconsistent: plus one or zero.  The seams are
 ``smith_normal_form``, the ``profile`` and ``pivot_sequences`` methods
 of ``_MinorTable``, ``corner_divisors``, ``determinant`` and
-``_desnanot_residual``, all looked up in ``critgroups.verify``.
+``_desnanot_residual``.  The matrix family looks them up in
+``critgroups.verify``; the operation family's instance, in
+``critgroups.graphs``, looks ``smith_normal_form`` up in
+``critgroups.linalg``.
 The matrix family reads D_k(M) and D_k*(M) from the profile of its minor
 table, MINORFACTS_B the D_k of each deletion submatrix from its Smith
 form, which its ``snf(sub).diag`` scenarios reach, MINORFACTS_A the
@@ -32,6 +35,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import critgroups.graphs as graphs
+import critgroups.linalg as linalg
 import critgroups.verify as verify
 from critgroups.graphs import ArithmeticalStructure, Multigraph, laplacian_structure
 from critgroups.jsonio import encode_value
@@ -97,42 +102,42 @@ def _matrix_changes(m: IntegerMatrix):
     """(label, seam, change) for the values the matrix family reads from its seams."""
     size = min(m.rows, m.cols)
     for i in range(size + 1):
-        yield f"profile.dk[{i}]", "_MinorTable.profile", (
+        yield f"profile.dk[{i}]", "verify._MinorTable.profile", (
             lambda p, kind, m, i=i: replace(p, dk=_at(p.dk, i, kind)))
     for i in range(size):
-        yield f"profile.dk_star[{i}]", "_MinorTable.profile", (
+        yield f"profile.dk_star[{i}]", "verify._MinorTable.profile", (
             lambda p, kind, m, i=i: replace(p, dk_star=_at(p.dk_star, i, kind)))
     # both deletion submatrices at once; the longer Smith diagonal sets the range
     for i in range(max(min(m.rows - 1, m.cols), min(m.rows, m.cols - 1))):
-        yield f"snf(sub).diag[{i}]", "smith_normal_form", (
+        yield f"snf(sub).diag[{i}]", "verify.smith_normal_form", (
             lambda r, kind, x, i=i, m=m: r if x == m else replace(r, diag=_at(r.diag, i, kind)))
     for i in range(size):
-        yield f"snf(M).diag[{i}]", "smith_normal_form", (
+        yield f"snf(M).diag[{i}]", "verify.smith_normal_form", (
             lambda r, kind, x, i=i, m=m: r if x != m else replace(r, diag=_at(r.diag, i, kind)))
-    yield "profile.row_gcds[-1]", "_MinorTable.profile", (
+    yield "profile.row_gcds[-1]", "verify._MinorTable.profile", (
         lambda p, kind, m: replace(p, row_gcds=_at(p.row_gcds, m.rows - 1, kind)))
-    yield "profile.col_gcds[-1]", "_MinorTable.profile", (
+    yield "profile.col_gcds[-1]", "verify._MinorTable.profile", (
         lambda p, kind, m: replace(p, col_gcds=_at(p.col_gcds, m.cols - 1, kind)))
     for i in range(size):
-        yield f"corner_sequence[{i}]", "corner_divisors", (
+        yield f"corner_sequence[{i}]", "verify.corner_divisors", (
             lambda s, kind, m, i=i: _at(s, i, kind))
 
 
 def _operation_changes(n: int):
     for rows, label in ((n, "snf(L)"), (n - 1, "snf(L')")):
         for i in range(rows - 1):
-            yield f"{label}.diag[{i}]", "smith_normal_form", (
+            yield f"{label}.diag[{i}]", "linalg.smith_normal_form", (
                 lambda r, kind, m, i=i, rows=rows: r if m.rows != rows
                 else replace(r, diag=_at(r.diag, i, kind)))
     for i in range(n):
-        yield f"profile.dk_star[{i}]", "_MinorTable.pivot_sequences", (
+        yield f"profile.dk_star[{i}]", "linalg._MinorTable.pivot_sequences", (
             lambda p, kind, m, i=i: tuple(_at(star, i, kind) for star in p))
 
 
 def _seam(seam: str):
-    """(owner, attribute name) of a seam: a name in ``verify`` or a method of a class there."""
-    *path, name = seam.split(".")
-    owner = verify
+    """(owner, attribute name) of a seam ``module.name`` or ``module.Class.method``."""
+    module, *path, name = seam.split(".")
+    owner = {"verify": verify, "linalg": linalg}[module]
     for part in path:
         owner = getattr(owner, part)
     return owner, name
@@ -160,8 +165,8 @@ def _special_matrix_fakes(m: IntegerMatrix):
     """Determinant and Desnanot-Jacobi seams: one wrong value each."""
     real_det = verify.determinant
     real_res = verify._desnanot_residual
-    yield "determinant(m)+1", "determinant", lambda x: real_det(x) + (x == m)
-    yield "determinant(chio)+1", "determinant", lambda x: real_det(x) + (x != m)
+    yield "determinant(m)+1", "verify.determinant", lambda x: real_det(x) + (x == m)
+    yield "determinant(chio)+1", "verify.determinant", lambda x: real_det(x) + (x != m)
     for ordinal in range(3):
         calls = []
 
@@ -169,7 +174,7 @@ def _special_matrix_fakes(m: IntegerMatrix):
             calls.append(args)
             return real_res(*args) + 5 * (len(calls) == ordinal + 1)
 
-        yield f"residual#{ordinal}", "_desnanot_residual", residual
+        yield f"residual#{ordinal}", "verify._desnanot_residual", residual
 
 
 def _reports_json(reports, payload: dict) -> list:
@@ -259,7 +264,7 @@ def test_a_fault_before_the_last_comparison_names_that_comparison():
     comparison on these inputs is covered.
     """
     facts = [verify._MatrixFacts(IntegerMatrix.from_rows(rows)) for rows in MATRICES.values()]
-    records = [verify._Instance(g, s).vertex(v) for g, s, v in _instances().values()]
+    records = [graphs._Instance(g, s).vertex(v) for g, s, v in _instances().values()]
     table = [(prop, x) for x in facts for prop in (*verify._MATRIX_PROPERTIES, verify._CONJ_MINORS)]
     table += [(prop, x) for x in records for prop in (*verify._OPERATION_PROPERTIES, verify._CONJ_ALPHA)]
     covered = set()

@@ -26,8 +26,8 @@ def calls(monkeypatch) -> dict[str, int]:
     ``star_clique_reduction`` or by ``verify`` on a pair it has validated.
     ``_MinorTable`` counts the minor tables built: each one scans the
     minors of one matrix.  ``_batch`` counts the row sets those tables
-    evaluate in one batch.  ``_Instance`` counts the validated
-    (graph, structure) instances that ``verify`` builds.  ``PropertyReport``
+    evaluate in one batch.  ``_Instance`` counts the (graph, structure)
+    instances built, each of them validated once.  ``PropertyReport``
     counts the reports built after import, which leaves out the shared
     reports without a witness, and ``IntegerMatrix`` the matrices built
     through the constructor that checks every entry.
@@ -94,6 +94,33 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     }
 
 
+def test_public_per_vertex_checks_share_one_instance(calls, simple7):
+    """What ``verify --all-vertices`` does, through the public functions one call at a time."""
+    g, s = simple7
+    m = graphs.structure_matrix(g, s)
+    reports = [*verify.verify_minor_properties(m), verify.check_conjecture_minors(m)]
+    for v in range(g.n):
+        reports += [*verify.verify_operation_theorems(g, s, v), verify.check_conjecture_alpha(g, s, v)]
+    assert [r.status for r in reports].count("pass") == 130
+    # the CLI's counts: structure_matrix builds the instance, which
+    # validates once and builds L.  The matrix checks read its SNF(L) and
+    # its minor table, since m is its L, and every vertex check reads the
+    # same instance: one L and one SNF(L), and per vertex one reduction,
+    # its self-check, L' and SNF(L')
+    assert calls == {
+        "validate_structure": 8,
+        "smith_normal_form": 11,
+        "star_clique_reduction": 0,
+        "_reduce": 7,
+        "_matrix": 8,
+        "_MinorTable": 1,
+        "_Instance": 1,
+        "_batch": 92,
+        "PropertyReport": 0,
+        "IntegerMatrix": 0,
+    }
+
+
 def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     summary = verify.fuzz_campaign(verify.FuzzConfig(seed=0, case_count=100))
     assert summary.cases == 100
@@ -139,7 +166,9 @@ def test_reduction_chain_validates_each_pair_once(calls, simple7):
     # k + 1 validations for k reductions: the first pair where the chain
     # starts, then each output once, by the reduction that made it; the
     # critical group and the next reduction of an output validate nothing.
-    # Each critical group builds its L; a reduction builds no matrix
+    # One instance per pair: the first critical group builds the first, and
+    # each reduction records its output as one.  Each critical group builds
+    # its L; a reduction builds no matrix
     assert calls == {
         "validate_structure": k + 1,
         "smith_normal_form": k + 1,
@@ -147,7 +176,7 @@ def test_reduction_chain_validates_each_pair_once(calls, simple7):
         "_reduce": k,
         "_matrix": k + 1,
         "_MinorTable": 0,
-        "_Instance": 0,
+        "_Instance": k + 1,
         "_batch": 0,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
