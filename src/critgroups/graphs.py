@@ -29,7 +29,7 @@ so each pair along a chain of reductions is validated once.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import accumulate
 from math import gcd, prod
 from operator import itemgetter, mul
@@ -240,7 +240,7 @@ class ReductionResult(Record):
 
     def matrix(self) -> IntegerMatrix:
         """L' = diag(d') - A' of the output, which the reduction has already checked."""
-        return _matrix(self.graph, self.structure, range(self.graph.n))
+        return _matrix(self.graph, self.structure)
 
 
 def validate_structure(g: Multigraph, d, r) -> StructureViolation | None:
@@ -293,12 +293,14 @@ def structure_matrix(g: Multigraph, s: ArithmeticalStructure, last_vertex: int |
         return inst.matrix
     if not 0 <= last_vertex < g.n:
         raise IndexError(f"vertex {last_vertex} out of range")
-    return _matrix(g, s, [*range(last_vertex), *range(last_vertex + 1, g.n), last_vertex])
+    return _matrix(g, s, last_vertex)
 
 
-def _matrix(g: Multigraph, s: ArithmeticalStructure, order) -> IntegerMatrix:
+def _matrix(g: Multigraph, s: ArithmeticalStructure, last: int | None = None) -> IntegerMatrix:
+    """L of a pair known to be valid; with ``last`` given, L with that vertex last."""
     import critgroups.linalg as linalg
 
+    order = range(g.n) if last is None else [*range(last), *range(last + 1, g.n), last]
     return linalg.IntegerMatrix._unchecked(
         tuple(tuple(s.d[i] if i == j else -g.mult[i][j] for j in order) for i in order)
     )
@@ -431,8 +433,9 @@ class _Instance:
 
     Building it raises StructureError unless s is a structure on g, of the
     same size; ``valid=True`` skips that for a reduction's checked output.
-    L, SNF(L), ``dk`` = D_k(L), the group, the minor table of L and its
-    pivot scan are built on first use.  SNF(L) and the pivot scan serve
+    L, SNF(L), ``dk`` = D_k(L), the group and the pivot scan of L (one
+    scan of its minor table: the profile of L and every vertex's D_k*)
+    are built on first use.  SNF(L) and the pivot scan serve
     every vertex, as moving v last permutes rows and columns alike.
     """
 
@@ -448,7 +451,7 @@ class _Instance:
 
     @cached_property
     def matrix(self) -> IntegerMatrix:
-        return _matrix(self.graph, self.structure, range(self.graph.n))
+        return _matrix(self.graph, self.structure)
 
     @cached_property
     def snf(self) -> SnfResult:
@@ -465,18 +468,13 @@ class _Instance:
         return CriticalGroup.from_snf(self.snf, self.graph.n)
 
     @cached_property
-    def table(self):
-        """``table()`` is the minor table of L, built on first call; like ``pivots``
-        it refers to L, not to the instance, so vertex records holding it form no cycle."""
+    def pivot_scan(self):
+        """``pivot_scan()`` is (the profile of L, per v the D_1*..D_n* of L with v last), scanned on
+        first call; it refers to L, not to the instance, so vertex records holding it form no cycle."""
         import critgroups.linalg as linalg
 
-        return cache(partial(linalg._MinorTable, self.matrix))
-
-    @cached_property
-    def pivots(self):
-        """``pivots()[v]`` is D_1*..D_n* of L with v last, from the pivot scan of the table of L."""
-        table = self.table
-        return cache(lambda: table().pivot_sequences())
+        m = self.matrix
+        return cache(lambda: linalg._MinorTable(m).pivot_scan())
 
     def vertex(self, v: int) -> _Vertex:
         """The record of the reduction at v (0-based), built on first use."""
@@ -493,16 +491,16 @@ class _Vertex:
     factors of L and of L' (a_k = alpha[k-1]) and ``order``/``order_p``
     the group orders, from SNF(L) and ``snf_p`` = SNF(L').  ``dk``, D_k(L),
     and ``dkp``, D_k(L'), are the prefix products of the two diagonals.
-    D_k*(L with v last) comes from the instance's pivot scan of L, on
-    first use.  No SNF enters it, so THM_DKL_A compares values of
-    different engines.
+    D_k*(L with v last) comes on first use from the pivot scan of L, the
+    scan whose profile the matrix family reads on L.  No SNF enters it,
+    so THM_DKL_A compares values of different engines.
     """
 
     def __init__(self, inst: _Instance, v: int) -> None:
         import critgroups.linalg as linalg
 
         g, s = inst.graph, inst.structure
-        self.pivots, self.dk = inst.pivots, inst.dk
+        self.pivot_scan, self.dk = inst.pivot_scan, inst.dk
         self.graph, self.structure, self.v = g, s, v
         self.n, self.m = g.n, s.d[v]
         # row v of L is the last row of L with v last
@@ -536,12 +534,12 @@ class _Vertex:
     @cached_property
     def matrix(self) -> IntegerMatrix:
         """L with v last."""
-        return _matrix(self.graph, self.structure, [*range(self.v), *range(self.v + 1, self.n), self.v])
+        return _matrix(self.graph, self.structure, self.v)
 
     @cached_property
     def dk_star(self) -> tuple[int, ...]:
         """D_k*(L) with v last, k = 1..n."""
-        return self.pivots()[self.v]
+        return self.pivot_scan()[1][self.v]
 
     @cached_property
     def dkp(self) -> tuple[int, ...]:

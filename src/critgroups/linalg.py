@@ -348,10 +348,10 @@ class _MinorTable:
     sets hold at most 6 minors, and the position lookup per batch and the
     bisection per tracked row cost more than the minors the halving saves.
 
-    :meth:`fold` is the one scan: D_k and the GCDs of the minors through
-    given (row, column) pairs, one size at a time.  ``profile()`` reads
-    it and keeps its result; ``pivot_sequences()`` reads it afresh on
-    each call, so its caller keeps what it needs.
+    :meth:`fold` folds one size: D_k and the GCDs of the minors through
+    given (row, column) pairs.  :meth:`_scan` folds each size once, for
+    ``profile()`` tracking the corner and for ``pivot_scan()`` every
+    (i, i), the corner among them.  Neither keeps its result.
     """
 
     def __init__(self, m: IntegerMatrix) -> None:
@@ -368,7 +368,6 @@ class _MinorTable:
         self.stores: list[dict] = [{} for _ in range(self.size + 1)]
         self.indices = tuple(range(self.rows))  # a tuple pool makes combinations() cheaper than a range
         self.corner = {self.rows - 1: self.cols - 1}
-        self._profile: MinorGcdProfile | None = None
 
     def _row_set(self, k: int, ri: tuple[int, ...]) -> list[int]:
         """The kept k x k minors on row set ri, in the order of :class:`_Plan`."""
@@ -435,41 +434,38 @@ class _MinorTable:
                     break
         return g, gcds
 
+    def _scan(self, columns: dict[int, int]) -> tuple[MinorGcdProfile, tuple[tuple[int, ...], ...]]:
+        """The profile and, per row, the GCDs :meth:`fold` tracks at k = 1..size: one fold per size.
+
+        The last row tracks the last column, so its GCDs are D_k*.  Once D_k = 0
+        every larger minor vanishes, so the remaining D_k are 0; the tracked GCDs
+        are folded all the same, so a wrong corner value still shows against the Smith form.
+        """
+        dk, tracked = [1], []
+        for k in range(1, self.size + 1):
+            d, gcds = self.fold(k, columns, 0 if dk[-1] else 1)
+            dk.append(d if dk[-1] else 0)
+            tracked.append(gcds)
+        sequences = tuple(zip(*tracked))
+        m = self.matrix
+        profile = MinorGcdProfile(tuple(dk), sequences[-1], tuple(starmap(gcd, m.entries)),
+                                  tuple(starmap(gcd, zip(*m.entries))))
+        return profile, sequences
+
     def profile(self) -> MinorGcdProfile:
-        """D_k, D_k* and the row and column GCDs, one fold per size.
+        """D_k, D_k* and the row and column GCDs: the scan that tracks the corner."""
+        return self._scan(self.corner)[0]
 
-        Once D_k = 0 every larger minor vanishes, so the remaining D_k are
-        0; the D_k* are folded all the same, so a wrong corner value still
-        shows against the Smith form.
-        """
-        if self._profile is None:
-            dk, dk_star = [1], []
-            for k in range(1, self.size + 1):
-                zero = dk[-1] == 0
-                d, gcds = self.fold(k, self.corner, 1 if zero else 0)
-                dk.append(0 if zero else d)
-                dk_star.append(gcds[-1])
-            m = self.matrix
-            self._profile = MinorGcdProfile(
-                tuple(dk),
-                tuple(dk_star),
-                tuple(starmap(gcd, m.entries)),
-                tuple(starmap(gcd, zip(*m.entries))),
-            )
-        return self._profile
-
-    def pivot_sequences(self) -> tuple[tuple[int, ...], ...]:
-        """Per index i of a square matrix, the (D_1*, ..., D_n*) of the
-        matrix with row and column i moved last.
-
-        Moving i last permutes rows and columns alike, so its corner minors
-        are the minors whose row and column sets both contain i: the fold
-        tracks every (i, i), and folds no D_k.
-        """
+    def pivot_scan(self) -> tuple[MinorGcdProfile, tuple[tuple[int, ...], ...]]:
+        """The profile and the pivot sequences of a square matrix, from one scan that tracks every (i, i)."""
         if not self.matrix.is_square:
             raise ValueError(f"pivot sequences need a square matrix, got {self.rows}x{self.cols}")
-        diagonal = {i: i for i in range(self.rows)}
-        return tuple(zip(*(self.fold(k, diagonal, 1)[1] for k in range(1, self.rows + 1))))
+        return self._scan({i: i for i in range(self.rows)})
+
+    def pivot_sequences(self) -> tuple[tuple[int, ...], ...]:
+        """Per index i of a square matrix, the (D_1*, ..., D_n*) of the matrix with row and column i
+        moved last, whose corner minors are the minors with i in both their row and column sets."""
+        return self.pivot_scan()[1]
 
 
 def minor_gcd_all(m: IntegerMatrix, k: int) -> int:

@@ -33,14 +33,14 @@ becomes one validated ``graphs._Instance`` (L, SNF(L), the pivot scan of
 L and, per vertex, the reduction and what derives from it).  The CLI
 hands one to both families and a fuzz campaign keeps one per pair drawn.
 The public checks share ``graphs.instance_of``'s last instance, and its
-minor table and SNF(L) when their matrix is its L.
+pivot scan and SNF(L) when their matrix is its L.
 
 Determinantal divisors come from two engines.  Minor scans: one minor
 table per matrix (``linalg._MinorTable``) evaluates each of its minors
-at most once, and one fold per size reads it.  The table's profile gives
-the matrix family D_k(M) and D_k*(M), and its pivot scan the operation
-family every vertex's D_k*(L); when the matrix checks run on L, as
-``verify --all-vertices`` does, both read the one table of L.  Smith
+at most once, and one scan folds it once per size.  Its profile gives
+the matrix family D_k(M) and D_k*(M).  On L it is the instance's pivot
+scan, which also gives the operation family every vertex's D_k*(L), so
+``verify --all-vertices`` scans L once for both families.  Smith
 forms: D_k is the product of the first k invariant factors, which gives
 the operation family D_k(L) and D_k(L') from SNF(L) and SNF(L'),
 MINORFACTS_B the D_k of each deletion submatrix from its SNF, and
@@ -169,17 +169,18 @@ class _MatrixFacts:
     """What the matrix family compares on one matrix.
 
     ``dk`` and ``dks`` come from the profile of the minor table of m
-    unless the caller gives them; the caller may give the table too.
+    unless the caller gives them; the caller may give the profile too.
     ``snf_dk``, the D_k that MINORFACTS_A divides into D_k*, comes from
     SNF(m), which the caller may give as ``snf``.
     """
 
     def __init__(self, m: IntegerMatrix, dk: tuple[int, ...] | None = None,
                  dks: tuple[int, ...] | None = None, snf: SnfResult | None = None,
-                 table: _MinorTable | None = None) -> None:
+                 profile: MinorGcdProfile | None = None) -> None:
         self.m = m
         self.size = min(m.rows, m.cols)
-        self.table = table
+        if profile is not None:
+            self.profile = profile  # fills the cached property
         if dk is None:
             dk, dks = self.profile.dk, self.profile.dk_star
         self.dk, self.dks = dk, dks
@@ -195,7 +196,7 @@ class _MatrixFacts:
 
     @cached_property
     def profile(self) -> MinorGcdProfile:
-        return (_MinorTable(self.m) if self.table is None else self.table).profile()
+        return _MinorTable(self.m).profile()
 
     @cached_property
     def snf_dk(self) -> tuple[int, ...]:
@@ -461,11 +462,11 @@ def check_conjecture_minors(m: IntegerMatrix) -> PropertyReport:
 
 def _facts(m: IntegerMatrix, inst: _Instance | None = None) -> _MatrixFacts:
     """The facts of m.  When m is the L that ``inst`` (by default the last
-    instance) has built, MINORFACTS_A reads its SNF(L) and the profile the
-    table of L that its pivot scan reads."""
+    instance) has built, MINORFACTS_A reads its SNF(L), and the profile
+    is the one of its pivot scan, which also gives every vertex its D_k*."""
     inst = inst or graphs._last_instance
     if inst is not None and vars(inst).get("matrix") is m:
-        return _MatrixFacts(m, snf=inst.snf, table=inst.table())
+        return _MatrixFacts(m, snf=inst.snf, profile=inst.pivot_scan()[0])
     return _MatrixFacts(m)
 
 
@@ -729,7 +730,7 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
     (graph, structure, vertex) instance per case from the configured
     enumeration queries.  Each (graph, structure) pair drawn gets one
     :class:`_Instance`, kept from the first case that draws the pair to
-    the last, so the instances, each with the minor table of its L, grow
+    the last, so the instances, each with the pivot scan of its L, grow
     with the pairs drawn, not with the cases.  The draws are made once, up
     front, one list entry per case.  Both checks of a case matrix read one
     set of facts.  Failing matrix witnesses are minimized before being

@@ -603,18 +603,35 @@ def _pivot_cases() -> list[list[list[int]]]:
     return cases
 
 
+def _brute_profile(rows: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(D_0..D_n, D_1*..D_n*) of a square matrix, by brute force."""
+    n = len(rows)
+    return (tuple(brute_minor_gcd(rows, k) for k in range(n + 1)),
+            tuple(brute_minor_gcd(rows, k, corner=True) for k in range(1, n + 1)))
+
+
 @pytest.mark.parametrize("cap", [linalg._TABLE_CAP, 4])
 def test_pivot_sequences_match_oracle(cap, monkeypatch):
-    # a cap of 4 stores no size of a matrix with 3 or more rows and columns
+    """The pivot scan's sequences and profile against brute force and a fresh table's corner profile.
+
+    A cap of 4 stores no size of a matrix with 3 or more rows and columns.
+    The rank-1 and zero cases reach D_k = 0 before k = n, after which the
+    scan folds the tracked GCDs alone.
+    """
     monkeypatch.setattr(linalg, "_TABLE_CAP", cap)
     for rows in _pivot_cases():
         n = len(rows)
-        table = linalg._MinorTable(IntegerMatrix.from_rows(rows))
+        m = IntegerMatrix.from_rows(rows)
+        table = linalg._MinorTable(m)
         assert table.pivot_sequences() == tuple(
             tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
             for i in range(n)
         ), rows
         assert table.profile().dk == tuple(brute_minor_gcd(rows, k) for k in range(n + 1)), rows
+        profile, pivots = linalg._MinorTable(m).pivot_scan()
+        assert pivots == table.pivot_sequences(), rows
+        assert profile == linalg._MinorTable(m).profile(), rows
+        assert (profile.dk, profile.dk_star) == _brute_profile(rows), rows
 
 
 def _structure_matrix_9x9() -> IntegerMatrix:
@@ -629,11 +646,12 @@ def _structure_matrix_9x9() -> IntegerMatrix:
 
 
 def test_shared_table_matches_fresh_unstored_tables(monkeypatch):
-    """profile() and pivot_sequences() of one table, in either order, against fresh tables.
+    """profile() and pivot_sequences() of one table, in either order, and pivot_scan(), against fresh tables.
 
     A cap of 3 stores no size of a matrix with at least 2 rows and columns,
     so the fresh tables keep one row set per size at a time and reuse
-    nothing another scan stored.
+    nothing another scan stored.  The pivot scan's profile must equal the
+    fresh corner profile and, up to 5 x 5, brute force.
     """
     cases = [IntegerMatrix.from_rows(rows) for rows in _pivot_cases()]
     cases.append(_structure_matrix_9x9())
@@ -643,11 +661,14 @@ def test_shared_table_matches_fresh_unstored_tables(monkeypatch):
         profile_first, pivots_first = linalg._MinorTable(m), linalg._MinorTable(m)
         pivots = pivots_first.pivot_sequences()
         shared.append([(profile_first.profile(), profile_first.pivot_sequences()),
-                       (pivots_first.profile(), pivots)])
+                       (pivots_first.profile(), pivots), linalg._MinorTable(m).pivot_scan()])
     monkeypatch.setattr(linalg, "_TABLE_CAP", 3)
     for m, results in zip(cases, shared):
         fresh = (linalg._MinorTable(m).profile(), linalg._MinorTable(m).pivot_sequences())
-        assert results == [fresh, fresh], m.entries
+        assert results == [fresh, fresh, fresh], m.entries
+        assert linalg._MinorTable(m).pivot_scan() == fresh, m.entries
+        if m.rows <= 5:
+            assert (fresh[0].dk, fresh[0].dk_star) == _brute_profile([list(r) for r in m.entries]), m.entries
 
 
 def test_pivot_sequences_need_a_square_matrix():

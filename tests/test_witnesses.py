@@ -2,8 +2,8 @@
 
 Each scenario runs the public checks on a real input while one seam
 returns one entry made inconsistent: plus one or zero.  The seams are
-``smith_normal_form``, the ``profile`` and ``pivot_sequences`` methods
-of ``_MinorTable``, ``corner_divisors``, ``determinant`` and
+``smith_normal_form``, the ``profile`` and ``pivot_scan`` methods of
+``_MinorTable``, ``corner_divisors``, ``determinant`` and
 ``_desnanot_residual``.  The matrix family looks them up in
 ``critgroups.verify``; the operation family's instance, in
 ``critgroups.graphs``, looks ``smith_normal_form`` up in
@@ -16,8 +16,9 @@ scenarios reach, and MINORFACTS_C the D_k* of its corner submatrix from
 ``corner_divisors``, which its ``corner_sequence`` scenarios reach.
 MINORFACTS_D, CHIO and DESNANOT share one ``determinant`` of M, so the
 ``determinant(m)+1`` scenarios reach all three.  The operation family
-reads D_k*(L with v last) from the pivot scan of the table of L; its
-scenarios keep the ``profile.dk_star`` label of that value.  It reads
+reads D_k*(L with v last) from the pivot scan of L, the one scan of its
+minor table, whose sequences its scenarios change; they keep the
+``profile.dk_star`` label of that value.  It reads
 D_k(L) from the diagonal of SNF(L) and D_k(L') from that of SNF(L'), so
 its ``snf(L).diag`` scenarios reach THM_DKL_B..D as well, and its
 ``snf(L').diag`` scenarios THM_DKL_A..D.  Every report -- status,
@@ -130,8 +131,8 @@ def _operation_changes(n: int):
                 lambda r, kind, m, i=i, rows=rows: r if m.rows != rows
                 else replace(r, diag=_at(r.diag, i, kind)))
     for i in range(n):
-        yield f"profile.dk_star[{i}]", "linalg._MinorTable.pivot_sequences", (
-            lambda p, kind, m, i=i: tuple(_at(star, i, kind) for star in p))
+        yield f"profile.dk_star[{i}]", "linalg._MinorTable.pivot_scan", (
+            lambda p, kind, m, i=i: (p[0], tuple(_at(star, i, kind) for star in p[1])))
 
 
 def _seam(seam: str):

@@ -14,6 +14,8 @@ from critgroups.jsonio import fixture_path
 MODULES = (critgroups, linalg, graphs, verify, enumeration, jsonio, cli)
 COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "_reduce", "_matrix",
            "_MinorTable", "_Instance")
+# methods of the minor table whose calls are counted
+METHODS = ("fold", "_batch")
 # classes whose constructions are counted: reports built, and matrices whose entries are checked
 BUILT = (verify.PropertyReport, linalg.IntegerMatrix)
 
@@ -25,21 +27,21 @@ def calls(monkeypatch) -> dict[str, int]:
     ``_reduce`` counts the reductions computed, through
     ``star_clique_reduction`` or by ``verify`` on a pair it has validated.
     ``_MinorTable`` counts the minor tables built: each one scans the
-    minors of one matrix.  ``_batch`` counts the row sets those tables
-    evaluate in one batch.  ``_Instance`` counts the (graph, structure)
-    instances built, each of them validated once.  ``PropertyReport``
-    counts the reports built after import, which leaves out the shared
-    reports without a witness, and ``IntegerMatrix`` the matrices built
-    through the constructor that checks every entry.
+    minors of one matrix.  ``fold`` counts the sizes those tables fold,
+    and ``_batch`` the row sets they evaluate in one batch.  ``_Instance``
+    counts the (graph, structure) instances built, each of them validated
+    once.  ``PropertyReport`` counts the reports built after import, which
+    leaves out the shared reports without a witness, and ``IntegerMatrix``
+    the matrices built through the constructor that checks every entry.
     """
-    counts = dict.fromkeys((*COUNTED, "_batch", *(cls.__name__ for cls in BUILT)), 0)
-    batch = linalg._MinorTable._batch
+    counts = dict.fromkeys((*COUNTED, *METHODS, *(cls.__name__ for cls in BUILT)), 0)
+    for name in METHODS:
 
-    def counting_batch(table, k, ri):
-        counts["_batch"] += 1
-        return batch(table, k, ri)
+        def counting_method(table, *args, name=name, method=getattr(linalg._MinorTable, name)):
+            counts[name] += 1
+            return method(table, *args)
 
-    monkeypatch.setattr(linalg._MinorTable, "_batch", counting_batch)
+        monkeypatch.setattr(linalg._MinorTable, name, counting_method)
     for cls in BUILT:
 
         def counting_init(self, *args, name=cls.__name__, init=cls.__init__, **kwargs):
@@ -75,11 +77,11 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     # D_k* of its corner submatrix come from the Smith form of that
     # submatrix condensed on its corner.  L is built once and each L'
     # once; no check reads L with v last, so it is never built.  One minor
-    # table of L serves the profile of both matrix checks and the pivot
-    # scan that gives every vertex its D_k*.  The batched row sets pin how
-    # far that scan runs before its GCDs reach 1.  No report fails, so none
-    # is built: each of the 130 is a shared one.  Every matrix is built from
-    # validated entries, so none is checked again
+    # table of L is folded once per size, by the pivot scan, whose profile
+    # both matrix checks read and which gives every vertex its D_k*.  The
+    # batched row sets pin how far that scan runs before its GCDs reach 1.
+    # No report fails, so none is built: each of the 130 is a shared one.
+    # Every matrix is built from validated entries, so none is checked again
     assert calls == {
         "validate_structure": 8,
         "smith_normal_form": 11,
@@ -88,6 +90,7 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
         "_matrix": 8,
         "_MinorTable": 1,
         "_Instance": 1,
+        "fold": 7,
         "_batch": 92,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
@@ -104,7 +107,7 @@ def test_public_per_vertex_checks_share_one_instance(calls, simple7):
     assert [r.status for r in reports].count("pass") == 130
     # the CLI's counts: structure_matrix builds the instance, which
     # validates once and builds L.  The matrix checks read its SNF(L) and
-    # its minor table, since m is its L, and every vertex check reads the
+    # its pivot scan, since m is its L, and every vertex check reads the
     # same instance: one L and one SNF(L), and per vertex one reduction,
     # its self-check, L' and SNF(L')
     assert calls == {
@@ -115,6 +118,7 @@ def test_public_per_vertex_checks_share_one_instance(calls, simple7):
         "_matrix": 8,
         "_MinorTable": 1,
         "_Instance": 1,
+        "fold": 7,
         "_batch": 92,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
@@ -137,7 +141,8 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     # (self-check, L', SNF(L')), which does not validate the instance's
     # pair again, and L with v last for CONJ_MINORS, which reads D_k(L)
     # from SNF(L) and D_k* from the pivot scan: 43 + 78 validations and
-    # 43 + 2 * 78 matrices built.  None of the 2,900 reports fails, so
+    # 43 + 2 * 78 matrices built.  Each of the 143 tables folds each of its
+    # sizes once.  None of the 2,900 reports fails, so
     # none is built, and no matrix has its entries checked: the case
     # matrices come from ints the campaign draws, the others from entries
     # of matrices already built
@@ -149,6 +154,7 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
         "_matrix": 199,
         "_MinorTable": 143,
         "_Instance": 43,
+        "fold": 491,
         "_batch": 1531,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
@@ -177,6 +183,7 @@ def test_reduction_chain_validates_each_pair_once(calls, simple7):
         "_matrix": k + 1,
         "_MinorTable": 0,
         "_Instance": k + 1,
+        "fold": 0,
         "_batch": 0,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
