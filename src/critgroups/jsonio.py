@@ -61,8 +61,6 @@ def encode_value(value):
         return [encode_value(x) for x in value]
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in value.items()}
-    if hasattr(value, "value"):  # enums
-        return value.value
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -457,15 +457,12 @@ class _MinorTable:
         return self._scan(self.corner)[0]
 
     def pivot_scan(self) -> tuple[MinorGcdProfile, tuple[tuple[int, ...], ...]]:
-        """The profile and the pivot sequences of a square matrix, from one scan that tracks every (i, i)."""
+        """The profile and the pivot sequences of a square matrix, from one scan that tracks every (i, i).
+
+        Pivot sequence i is the (D_1*, ..., D_n*) of the matrix with row and column i moved last."""
         if not self.matrix.is_square:
             raise ValueError(f"pivot sequences need a square matrix, got {self.rows}x{self.cols}")
         return self._scan({i: i for i in range(self.rows)})
-
-    def pivot_sequences(self) -> tuple[tuple[int, ...], ...]:
-        """Per index i of a square matrix, the (D_1*, ..., D_n*) of the matrix with row and column i
-        moved last, whose corner minors are the minors with i in both their row and column sets."""
-        return self.pivot_scan()[1]
 
 
 def minor_gcd_all(m: IntegerMatrix, k: int) -> int:

@@ -639,16 +639,6 @@ def _case_draw(cfg: FuzzConfig, index: int, draws: list[tuple[int, int]]) -> tup
     return draws[rng.randrange(len(draws))]
 
 
-def _rerun_matrix_check(pid: PropertyId, m: IntegerMatrix) -> PropertyReport:
-    """Re-run the single matrix-family check `pid` on a fresh matrix."""
-    if pid is PropertyId.CONJ_MINORS:
-        return check_conjecture_minors(m)
-    for report in verify_minor_properties(m):
-        if report.property_id is pid:
-            return report
-    raise ValueError(f"{pid.value} is not a matrix-family property")
-
-
 def shrink_matrix_witness(m: IntegerMatrix, still_fails) -> IntegerMatrix:
     """Greedily minimize a failing matrix while ``still_fails`` holds.
 
@@ -702,22 +692,20 @@ def shrink_matrix_witness(m: IntegerMatrix, still_fails) -> IntegerMatrix:
 def _shrunk_failure(report: PropertyReport) -> PropertyReport:
     """Replace a matrix witness by its minimized version when possible.
 
-    The check is re-run on the shrunk matrix so that all recorded values
-    (k, the D values, ...) describe the shrunk witness; the original
-    matrix is kept alongside under ``matrix_original``.
+    The failing row of the matrix table is re-run on the shrunk matrix so
+    that all recorded values (k, the D values, ...) describe the shrunk
+    witness; the original matrix is kept alongside under ``matrix_original``.
     """
     if report.witness is None or "matrix" not in report.witness:
         return report
-    pid = report.property_id
+    row = next(p for p in (*_MATRIX_PROPERTIES, _CONJ_MINORS) if p.pid is report.property_id)
     original = IntegerMatrix.from_rows(report.witness["matrix"])
-    if not _rerun_matrix_check(pid, original).failed:  # pragma: no cover - safety net
+    if not row.report(_MatrixFacts(original)).failed:  # pragma: no cover - safety net
         return report
-    small = shrink_matrix_witness(
-        original, lambda m: _rerun_matrix_check(pid, m).failed
-    )
+    small = shrink_matrix_witness(original, lambda m: row.report(_MatrixFacts(m)).failed)
     if small == original:
         return report
-    fresh = _rerun_matrix_check(pid, small)
+    fresh = row.report(_MatrixFacts(small))
     witness = dict(fresh.witness or {})
     witness["matrix_original"] = report.witness["matrix"]
     return PropertyReport(fresh.property_id, fresh.status, witness, fresh.degenerate)
@@ -728,14 +716,13 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
 
     Matrix cases exercise the matrix checks; structure cases draw one
     (graph, structure, vertex) instance per case from the configured
-    enumeration queries.  Each (graph, structure) pair drawn gets one
-    :class:`_Instance`, kept from the first case that draws the pair to
-    the last, so the instances, each with the pivot scan of its L, grow
-    with the pairs drawn, not with the cases.  The draws are made once, up
-    front, one list entry per case.  Both checks of a case matrix read one
-    set of facts.  Failing matrix witnesses are minimized before being
-    recorded.  When ``archive_dir`` is given, each failure
-    is also written there as a JSON witness file.
+    enumeration queries.  Each case makes its own draw when it runs, and
+    each (graph, structure) pair drawn gets one :class:`_Instance`, kept
+    for the whole campaign, so the instances, each with the pivot scan of
+    its L, grow with the pairs drawn, not with the cases.  Both checks of
+    a case matrix read one set of facts.  Failing matrix witnesses are
+    minimized before being recorded.  When ``archive_dir`` is given, each
+    failure is also written there as a JSON witness file.
     """
     from . import jsonio  # local import: jsonio is the serialization boundary
 
@@ -758,10 +745,7 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
             for s in enumerate_structures(query):
                 draws.extend((len(pairs), v) for v in range(query.graph.n))
                 pairs.append((query.graph, s))
-    # each case's draw, and the last case that draws each pair, after which its instance is dropped
-    case_draws = [_case_draw(cfg, index, draws) for index in range(cfg.case_count)] if draws else []
-    last_case = {pair: index for index, (pair, _) in enumerate(case_draws)}
-    live: dict[int, _Instance] = {}
+    instances: dict[int, _Instance] = {}  # one per pair drawn
 
     summary = FuzzSummary(config=cfg)
     for index in range(cfg.case_count):
@@ -772,11 +756,11 @@ def fuzz_campaign(cfg: FuzzConfig, archive_dir=None) -> FuzzSummary:
                 reports.extend(prop.report(facts) for prop in _MATRIX_PROPERTIES)
             if want_minors:
                 reports.append(_CONJ_MINORS.report(facts))
-        if case_draws:
-            pair, v = case_draws[index]
-            inst = live.pop(pair, None) or _Instance(*pairs[pair])
-            if last_case[pair] > index:
-                live[pair] = inst
+        if draws:
+            pair, v = _case_draw(cfg, index, draws)
+            inst = instances.get(pair)
+            if inst is None:
+                inst = instances[pair] = _Instance(*pairs[pair])
             reports.extend(_operation_reports(inst, v, structure_props))
             if cfg.target == "all":
                 # the structure matrices are a targeted input family for

@@ -1,4 +1,4 @@
-"""Shared builders for the two worked examples and for seeded structures, and a fresh package memo for every test."""
+"""Shared builders for the two worked examples and for seeded structures, oracles used by several modules, and a fresh package memo for every test."""
 
 from __future__ import annotations
 
@@ -74,6 +74,28 @@ def seeded_structure(rng: random.Random, n: int, r_max: int, c_max: int) -> tupl
     mult = tuple(tuple(c[i][j] * r[i] * r[j] for j in range(n)) for i in range(n))
     d = tuple(sum(c[i][j] * r[j] * r[j] for j in range(n)) for i in range(n))
     return Multigraph(mult), ArithmeticalStructure(d, tuple(r))
+
+
+def cofactor_det(rows: list[list[int]]) -> int:
+    """Textbook cofactor expansion along the first row."""
+    n = len(rows)
+    assert all(len(r) == n for r in rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j, x in enumerate(rows[0]):
+        if x:
+            sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            total += (-1) ** j * x * cofactor_det(sub)
+    return total
+
+
+def fibonacci(n: int) -> int:
+    """F_n, with F_1 = F_2 = 1."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def failing_property(pid: verify.PropertyId) -> verify._Property:

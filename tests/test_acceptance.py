@@ -44,7 +44,7 @@ from critgroups.verify import (
     verify_operation_theorems,
 )
 
-from conftest import failing_property
+from conftest import cofactor_det, failing_property
 
 CORPUS = FuzzConfig(seed=20260814, matrix_dims=(2, 6), entry_bound=9, case_count=10_000)
 
@@ -187,21 +187,9 @@ def test_criterion_6_snf_cross_check(corpus, conclude):
                 failures.append(f"case {index}: prefix {k}")
         if m.is_square and m.rows <= 4:
             rows = [list(row) for row in m.entries]
-            if determinant(m) != _cofactor_det(rows):
+            if determinant(m) != cofactor_det(rows):
                 failures.append(f"case {index}: determinant")
     conclude(6, failures)
-
-
-def _cofactor_det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, x in enumerate(rows[0]):
-        if x:
-            sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * x * _cofactor_det(sub)
-    return total
 
 
 def test_criterion_7_conjecture_campaign(corpus, op_instances, tmp_path, monkeypatch, conclude):

@@ -12,7 +12,7 @@ import pytest
 from critgroups.enumeration import EnumerationQuery, enumerate_structures, sample_structure
 from critgroups.graphs import Multigraph, laplacian_structure, validate_structure
 
-from conftest import NONSIMPLE_EDGES
+from conftest import NONSIMPLE_EDGES, fibonacci
 
 
 def brute_enumerate(g: Multigraph, r_max: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -159,15 +159,8 @@ def test_sample_structure_is_seeded():
     assert len(seen) > 1, "eighty seeds should hit more than one structure"
 
 
-def _fibonacci(n: int) -> int:
-    a, b = 1, 1  # F_1, F_2
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
-
-
-PATH_CASES = [(n, _fibonacci(n), comb(2 * (n - 1), n - 1) // n) for n in range(2, 9)]
-CYCLE_CASES = [(n, _fibonacci(n + 1), comb(2 * n - 1, n - 1)) for n in range(3, 8)]
+PATH_CASES = [(n, fibonacci(n), comb(2 * (n - 1), n - 1) // n) for n in range(2, 9)]
+CYCLE_CASES = [(n, fibonacci(n + 1), comb(2 * n - 1, n - 1)) for n in range(3, 8)]
 
 
 @pytest.mark.parametrize(

@@ -35,22 +35,10 @@ from critgroups.linalg import (
 )
 from critgroups.verify import FuzzConfig, case_matrix
 
+from conftest import cofactor_det
+
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def cofactor_det(rows: list[list[int]]) -> int:
-    """Textbook cofactor expansion along the first row."""
-    n = len(rows)
-    assert all(len(r) == n for r in rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, x in enumerate(rows[0]):
-        if x:
-            sub = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * x * cofactor_det(sub)
-    return total
 
 
 def brute_minor_gcd(rows: list[list[int]], k: int, corner: bool = False) -> int:
@@ -76,7 +64,7 @@ def random_rows(rng: random.Random, nr: int, nc: int, bound: int = 9) -> list[li
 
 def pivot_sequences(m: IntegerMatrix) -> tuple[tuple[int, ...], ...]:
     """Every index's D_k* of a square matrix, from a fresh minor table."""
-    return linalg._MinorTable(m).pivot_sequences()
+    return linalg._MinorTable(m).pivot_scan()[1]
 
 
 # the 3x3 example used for most frozen values; det is -3
@@ -505,7 +493,7 @@ def test_complete_symmetric_scan_evaluates_each_minor_pair_once(n, monkeypatch):
     table = linalg._MinorTable(m)
     assert table.symmetric and table.stored == n
     table.profile()
-    table.pivot_sequences()
+    table.pivot_scan()
     assert len(batched) == len(set(batched)) == sum(comb(n, k) for k in range(2, n + 1))
     evaluated = sum(len(minors) for store in table.stores[2:] for minors in store.values())
     assert n * (n + 1) // 2 + evaluated == sum(comb(n, k) * (comb(n, k) + 1) // 2 for k in range(1, n + 1))
@@ -554,7 +542,7 @@ def test_profile_evaluates_each_minor_once(simple7, monkeypatch):
     assert len(batched) == len(set(batched))
     # the pivot scan reads the profile's row sets and batches only the rest
     profiled = len(batched)
-    table.pivot_sequences()
+    table.pivot_scan()
     assert len(batched) > profiled
     assert len(batched) == len(set(batched))
     # every size is stored, so no minor is evaluated on its own
@@ -580,7 +568,7 @@ def test_complete_graph_laplacian_closed_forms(n):
     star = (n - 1, *(n ** (k - 1) for k in range(2, n)), 0)
     prof = table.profile()
     assert (prof.dk, prof.dk_star) == (dk, star)
-    assert table.pivot_sequences() == (star,) * n
+    assert table.pivot_scan()[1] == (star,) * n
     assert all(len(store) <= 1 for store in table.stores[table.stored + 1 :])
     assert pivot_sequences(m) == (star,) * n
 
@@ -623,13 +611,13 @@ def test_pivot_sequences_match_oracle(cap, monkeypatch):
         n = len(rows)
         m = IntegerMatrix.from_rows(rows)
         table = linalg._MinorTable(m)
-        assert table.pivot_sequences() == tuple(
+        assert table.pivot_scan()[1] == tuple(
             tuple(brute_minor_gcd(_move_last(rows, i), k, corner=True) for k in range(1, n + 1))
             for i in range(n)
         ), rows
         assert table.profile().dk == tuple(brute_minor_gcd(rows, k) for k in range(n + 1)), rows
         profile, pivots = linalg._MinorTable(m).pivot_scan()
-        assert pivots == table.pivot_sequences(), rows
+        assert pivots == table.pivot_scan()[1], rows
         assert profile == linalg._MinorTable(m).profile(), rows
         assert (profile.dk, profile.dk_star) == _brute_profile(rows), rows
 
@@ -646,7 +634,7 @@ def _structure_matrix_9x9() -> IntegerMatrix:
 
 
 def test_shared_table_matches_fresh_unstored_tables(monkeypatch):
-    """profile() and pivot_sequences() of one table, in either order, and pivot_scan(), against fresh tables.
+    """profile() and pivot_scan() of one table, in either order, and pivot_scan() alone, against fresh tables.
 
     A cap of 3 stores no size of a matrix with at least 2 rows and columns,
     so the fresh tables keep one row set per size at a time and reuse
@@ -659,12 +647,12 @@ def test_shared_table_matches_fresh_unstored_tables(monkeypatch):
     shared = []
     for m in cases:
         profile_first, pivots_first = linalg._MinorTable(m), linalg._MinorTable(m)
-        pivots = pivots_first.pivot_sequences()
-        shared.append([(profile_first.profile(), profile_first.pivot_sequences()),
+        pivots = pivots_first.pivot_scan()[1]
+        shared.append([(profile_first.profile(), profile_first.pivot_scan()[1]),
                        (pivots_first.profile(), pivots), linalg._MinorTable(m).pivot_scan()])
     monkeypatch.setattr(linalg, "_TABLE_CAP", 3)
     for m, results in zip(cases, shared):
-        fresh = (linalg._MinorTable(m).profile(), linalg._MinorTable(m).pivot_sequences())
+        fresh = (linalg._MinorTable(m).profile(), pivot_sequences(m))
         assert results == [fresh, fresh, fresh], m.entries
         assert linalg._MinorTable(m).pivot_scan() == fresh, m.entries
         if m.rows <= 5:

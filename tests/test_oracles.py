@@ -39,7 +39,7 @@ from critgroups.graphs import (
 )
 from critgroups.linalg import smith_normal_form
 
-from conftest import seeded_structure
+from conftest import fibonacci, seeded_structure
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -123,13 +123,6 @@ def test_smith_form_matches_every_minor_at_the_end_of_a_chain():
     assert min(bits) > 10_000, bits
 
 
-def _fibonacci(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
 def test_critical_groups_of_paths_and_cycles_match_closed_forms():
     """Every structure on P3..P7 has a trivial group; on C3..C7 a cyclic one of order #{i : r_i = 1}.
 
@@ -139,8 +132,8 @@ def test_critical_groups_of_paths_and_cycles_match_closed_forms():
     """
     counts = {"path": 0, "cycle": 0}
     for n in range(3, 8):
-        for kind, graph, r_max in (("path", Multigraph.path(n), _fibonacci(n)),
-                                   ("cycle", Multigraph.cycle(n), _fibonacci(n + 1))):
+        for kind, graph, r_max in (("path", Multigraph.path(n), fibonacci(n)),
+                                   ("cycle", Multigraph.cycle(n), fibonacci(n + 1))):
             for s in enumerate_structures(EnumerationQuery(graph, r_max)):
                 factors = [f for f in critical_group(graph, s).invariant_factors if f != 1]
                 ones = s.r.count(1)

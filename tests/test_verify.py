@@ -362,7 +362,7 @@ def test_pivot_scan_past_the_stored_sizes_matches_the_smith_forms():
     assert diag[-4:] == (16, 48, 1488, 0)
     table = _MinorTable(m)
     assert table.stored == 3
-    pivots = table.pivot_sequences()
+    pivots = table.pivot_scan()[1]
     assert all(len(store) <= 1 for store in table.stores[table.stored + 1 :])
     assert table.profile().dk == tuple(accumulate(diag, mul, initial=1))
     for v, star in enumerate(pivots):
@@ -785,3 +785,23 @@ def test_injected_failure_witness_names_are_reproducible(tmp_path, monkeypatch):
     ]
     pairs = zip(first.witness_paths, second.witness_paths)
     assert all(Path(a).read_text() == Path(b).read_text() for a, b in pairs)
+
+
+def test_shrinker_reruns_the_failing_row_not_the_public_checks(monkeypatch):
+    rows = list(verify._MATRIX_PROPERTIES)
+    rows[3] = failing_property(rows[3].pid)
+    monkeypatch.setattr(verify, "_MATRIX_PROPERTIES", tuple(rows))
+    cfg = FuzzConfig(seed=3, case_count=20)
+    expected = fuzz_campaign(cfg).failures
+
+    def public_check(m):
+        raise AssertionError("the campaign re-ran a public check")
+
+    monkeypatch.setattr(verify, "verify_minor_properties", public_check)
+    monkeypatch.setattr(verify, "check_conjecture_minors", public_check)
+    assert fuzz_campaign(cfg).failures == expected
+    assert len(expected) == 20
+    for index, report in enumerate(expected):
+        assert report.property_id is rows[3].pid
+        assert report.witness["matrix"] == [[0]]
+        assert report.witness["matrix_original"] == [list(row) for row in case_matrix(cfg, index).entries]
