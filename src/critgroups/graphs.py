@@ -15,15 +15,15 @@ The star-clique reduction removes one vertex v: every pair of neighbors
 of v gets new parallel edges routed through v, all other multiplicities
 are scaled by d[v], and the r-vector is rescaled to be primitive again.
 It generalizes the classical smoothing of a degree-two vertex and works
-at any vertex with any d value.  The reduction is homogeneous of degree
-2 in (mult, d), so it runs on L divided by its content h and multiplies
-the result by h^2.
+at any vertex with any d value.
 
 A pair is validated once, when its :class:`_Instance` is built, which
-then holds L, SNF(L), the group and the reductions, each built on first
-use.  ``instance_of`` keeps the last instance, the package's one module
-memo; a reduction records its self-checked output as the last instance,
-so each pair along a chain of reductions is validated once.
+then holds L, its primitive part (h, L / h) with h the content of L,
+SNF(L), the group and the reductions, each built on first use; the Smith
+form and the reductions run on L / h.  ``instance_of`` keeps the last
+instance, the package's one module memo; a reduction records its
+self-checked output with its primitive part as the last instance, so a
+chain of reductions validates each pair once and takes one content.
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ class CriticalGroup(Record):
 
         Such a matrix always has rank n - 1, so the group is the product of
         Z/a over the first n - 1 invariant factors.  Their gcd c (or 1 if it is 0) divides
-        each, so |K| = c^(n-1) prod(a / c) on any list; along a chain c holds most bits.
+        each, so |K| = c^(n-1) prod(a / c) on any list.  An instance hands it the Smith form
+        of its primitive part, whose c is 1, and scales the group by the content itself.
         """
         if snf.rank != n - 1:
             raise ArithmeticError(
@@ -323,23 +324,21 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
         d'[i]       = d[i] * d[v] - mult[i][v] ** 2
         r'[i]       = r[i] / gcd of surviving r entries
 
-    mult is symmetric, so mult'[i][j] is computed once, for i < j, and
-    mirrored: half the big-int products of the multiplicities.
-
     Every output entry is a 2 x 2 minor of L, so the map is homogeneous
     of degree 2: reducing (h mult, h d, r) gives h^2 times the reduction
-    of (mult, d, r), with the same r'.  The formulas therefore run on L
-    divided by h, its content (the gcd of d and of every multiplicity),
-    and each result is multiplied by h^2, computed once.  Each reduction
-    multiplies the entries by d[v], so along a chain h is nearly the whole
-    entry: the products are then small by small, and the one big product
-    per entry, by h^2, is big by small and linear in the bit size.
+    of (mult, d, r), with the same r'.  The formulas therefore run on the
+    instance's P = L / h, h the content of L, and each result is multiplied
+    by h^2; mult' is symmetric, so that product is taken once, for i < j.
+    Each reduction multiplies the entries by d[v], so along a chain h is
+    nearly the whole entry: the products are then small by small, and the
+    one big product per entry, by h^2, is big by small.
 
     The output is again a valid arithmetical structure; its matrix L' is
     exactly the condensation of L on the corner entry d[v] (see
-    :func:`operation_matrix_consistency`).  It is validated here, and
-    recorded as the last instance, so reducing or factoring it next
-    validates nothing.
+    :func:`operation_matrix_consistency`).  It is validated here, at full
+    size, and recorded as the last instance with its primitive part
+    (h^2 g, Q / g), g the content of Q = L' / h^2, so reducing or
+    factoring it next validates nothing and builds no L'.
     """
     global _last_instance
     n = g.n
@@ -347,34 +346,32 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
         raise GraphError("reduction needs at least two vertices")
     if not 0 <= v < n:
         raise IndexError(f"vertex {v} out of range 0..{n - 1}")
-    instance_of(g, s)
-    result = _reduce(g, s, v)
+    result, hh, q = _reduce(instance_of(g, s), v)
+    content, p = _primitive(q)
     _last_instance = _Instance(result.graph, result.structure, valid=True)
+    _last_instance.primitive = hh * content, p
     return result
 
 
-def _reduce(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
-    """:func:`star_clique_reduction` of a pair already validated, at a vertex in range.
+def _reduce(inst: _Instance, v: int) -> tuple[ReductionResult, int, IntegerMatrix]:
+    """:func:`star_clique_reduction` of an instance at a vertex in range, h^2 and Q = L' / h^2.
 
-    It runs the formulas on L divided by its content h > 0 (the graph is connected on
-    at least two vertices).  The output is still validated; a violation raises ArithmeticError.
+    It reads the instance's primitive part (h, P = L / h) and computes the condensation
+    Q_ij = P_ij P_vv - P_iv P_vj of P on small ints; L' = h^2 Q, and Q is L' itself when
+    h is 1.  The output is still validated; a violation raises ArithmeticError.
     """
-    h = 0
-    for x, row in zip(s.d, g.mult):
-        h = gcd(h, x, *row)
-        if h == 1:
-            break
-    hh = h * h
-    dv = s.d[v] // h
+    g, s = inst.graph, inst.structure
+    h, p = inst.primitive
+    rows, star = p.entries, p.entries[v]  # star[i] = P_vi = P_iv, as P is symmetric
     others = [i for i in range(g.n) if i != v]
-    star = [x // h for x in g.mult[v]]  # star[i] = mult[i][v] / h, as mult is symmetric
+    q = type(p)._unchecked(
+        tuple(tuple(rows[i][j] * star[v] - star[i] * star[j] for j in others) for i in others))
+    hh = h * h
     new_mult: list[tuple[int, ...]] = []
-    for a, i in enumerate(others):
-        row, c = g.mult[i], star[i]
-        # below the diagonal: column a of the rows before; above it: computed here, once
-        upper = [(row[j] // h * dv + c * star[j]) * hh for j in others[a + 1 :]]
-        new_mult.append((*map(itemgetter(a), new_mult), 0, *upper))
-    new_d = tuple((s.d[i] // h * dv - star[i] * star[i]) * hh for i in others)
+    for a, row in enumerate(q.entries):
+        # below the diagonal: column a of the rows before; above it: -h^2 Q_ij, computed here, once
+        new_mult.append((*map(itemgetter(a), new_mult), 0, *[-hh * x for x in row[a + 1 :]]))
+    new_d = tuple([hh * row[a] for a, row in enumerate(q.entries)])
     divisor = gcd(*(s.r[i] for i in others))
     new_r = tuple(s.r[i] // divisor for i in others)
     try:
@@ -391,7 +388,7 @@ def _reduce(g: Multigraph, s: ArithmeticalStructure, v: int) -> ReductionResult:
             f"reduction at vertex {v} produced an invalid structure: {violation.message}; "
             f"input mult={g.mult}, d={s.d}, r={s.r}"
         )
-    return ReductionResult(new_graph, new_structure, v, divisor)
+    return ReductionResult(new_graph, new_structure, v, divisor), hh, q
 
 
 def operation_matrix_consistency(g: Multigraph, s: ArithmeticalStructure, v: int) -> bool:
@@ -423,6 +420,19 @@ def instance_of(g: Multigraph, s: ArithmeticalStructure) -> _Instance:
     return inst
 
 
+def _primitive(m: IntegerMatrix) -> tuple[int, IntegerMatrix]:
+    """(h, m / h), h the content (the gcd of the entries) of m; m itself when h is 1.
+
+    The zero matrix (the one vertex with d = (0,)) has content 0 and gives (0, m).
+    """
+    h = 0
+    for row in m.entries:
+        h = gcd(h, *row)
+        if h == 1:
+            break
+    return (h, m) if h <= 1 else (h, type(m)._unchecked(tuple(tuple([x // h for x in row]) for row in m.entries)))
+
+
 def _snf_dk(snf: SnfResult) -> tuple[int, ...]:
     """(D_0, ..., D_min): the prefix products of the zero-padded Smith diagonal."""
     return tuple(accumulate(snf.diag, mul, initial=1))
@@ -433,10 +443,12 @@ class _Instance:
 
     Building it raises StructureError unless s is a structure on g, of the
     same size; ``valid=True`` skips that for a reduction's checked output.
-    L, SNF(L), ``dk`` = D_k(L), the group and the pivot scan of L (one
-    scan of its minor table: the profile of L and every vertex's D_k*)
-    are built on first use.  SNF(L) and the pivot scan serve
-    every vertex, as moving v last permutes rows and columns alike.
+    L, ``primitive`` = (h, P = L / h) with h the content of L (P is L when
+    h is 1), SNF(L) = h SNF(P), ``dk`` = D_k(L), the group (read off SNF(P)
+    and scaled by h) and the pivot scan of L (one scan of its minor table:
+    the profile of L and every vertex's D_k*) are built on first use; a
+    reduction hands its output its primitive part.  SNF(L) and the pivot
+    scan serve every vertex, as moving v last permutes rows and columns alike.
     """
 
     def __init__(self, g: Multigraph, s: ArithmeticalStructure, valid: bool = False) -> None:
@@ -454,10 +466,19 @@ class _Instance:
         return _matrix(self.graph, self.structure)
 
     @cached_property
-    def snf(self) -> SnfResult:
+    def primitive(self) -> tuple[int, IntegerMatrix]:
+        return _primitive(self.matrix)
+
+    @cached_property
+    def primitive_snf(self) -> SnfResult:
         import critgroups.linalg as linalg
 
-        return linalg.smith_normal_form(self.matrix)
+        return linalg.smith_normal_form(self.primitive[1])
+
+    @cached_property
+    def snf(self) -> SnfResult:
+        h, snf = self.primitive[0], self.primitive_snf
+        return type(snf)(tuple([h * x for x in snf.diag]), snf.rank)
 
     @cached_property
     def dk(self) -> tuple[int, ...]:
@@ -465,7 +486,8 @@ class _Instance:
 
     @cached_property
     def group(self) -> CriticalGroup:
-        return CriticalGroup.from_snf(self.snf, self.graph.n)
+        h, k = self.primitive[0], CriticalGroup.from_snf(self.primitive_snf, self.graph.n)
+        return CriticalGroup(tuple([h * x for x in k.invariant_factors]), h ** (self.graph.n - 1) * k.order)
 
     @cached_property
     def pivot_scan(self):
@@ -508,7 +530,7 @@ class _Vertex:
         self.gg = self.g * self.g
         self.alpha, self.order = inst.group.invariant_factors, inst.group.order
         # the instance has validated the pair: neither the reduction nor L with v last validates it again
-        self.reduction = _reduce(g, s, v)
+        self.reduction = _reduce(inst, v)[0]
         self.reduced_matrix = self.reduction.matrix()
         self.snf_p = linalg.smith_normal_form(self.reduced_matrix)
         self.after = CriticalGroup.from_snf(self.snf_p, self.n - 1)

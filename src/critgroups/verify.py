@@ -470,9 +470,18 @@ def _facts(m: IntegerMatrix, inst: _Instance | None = None) -> _MatrixFacts:
     return _MatrixFacts(m)
 
 
+class _VertexMinorFacts(_MatrixFacts):
+    """The facts of L with v last that CONJ_MINORS reads; only a failing report's payload reads ``m``."""
+
+    m = property(lambda self: self.record.matrix)
+
+    def __init__(self, record: _Vertex) -> None:
+        self.record, self.size, self.dk, self.dks = record, record.n, record.dk, record.dk_star
+
+
 def _vertex_minors_report(record: _Vertex) -> PropertyReport:
     """CONJ_MINORS on L with v last, its D_k read from SNF(L) and its D_k* from the pivot scan of L."""
-    return _CONJ_MINORS.report(_MatrixFacts(record.matrix, record.dk, record.dk_star))
+    return _CONJ_MINORS.report(_VertexMinorFacts(record))
 
 
 def _operation_reports(inst: _Instance, v: int, properties) -> list[PropertyReport]:

@@ -497,3 +497,33 @@ def test_reduction_chain_matches_oracles_on_the_divided_path(seed, r_max):
     # the last reductions divide out an h > 1, and their entries pass 1,000 bits
     assert all(h > 1 for h in contents[-3:]), contents
     assert max(x.bit_length() for x in s.d) > 1000
+
+
+@pytest.mark.parametrize("seed, n, h", [(0, 17, 1), (1, 15, 1), (2, 14, 6), (3, 13, 6), (4, 12, 10**40)])
+def test_seeded_primitive_part_matches_a_fresh_instance_down_to_one_vertex(seed, n, h):
+    """A reduction seeds its output with (h^2 g, Q / g); an output's group and Smith form read only that.
+
+    At every step of a chain the seeded instance must agree with a fresh one,
+    which takes the content of the full L, and with the Smith form of the full
+    matrix.  The chains end at one vertex, d = (0,), whose content is 0.
+    """
+    from critgroups import graphs
+    from critgroups.linalg import smith_normal_form
+
+    rng = random.Random(seed)
+    g, s = scaled(*seeded_structure(rng, n, 2, 1), h)
+    seeds = []
+    while True:
+        inst, fresh = graphs.instance_of(g, s), graphs._Instance(g, s)
+        assert inst.primitive == fresh.primitive
+        assert inst.snf == fresh.snf == smith_normal_form(structure_matrix(g, s))
+        assert inst.group == fresh.group == CriticalGroup.from_snf(inst.snf, g.n)
+        if g.n == 1:
+            break
+        hh = inst.primitive[0] ** 2
+        res = star_clique_reduction(g, s, rng.randrange(g.n))
+        g, s = res.graph, res.structure
+        seeds.append(graphs._last_instance.primitive[0] // hh)
+    assert s.d == (0,) and inst.primitive[0] == 0 and inst.group == CriticalGroup((), 1)
+    # Q = L' / h^2 has a content g > 1 at some steps, so the seed's factor g is exercised
+    assert any(x > 1 for x in seeds[:-1]), seeds

@@ -338,6 +338,18 @@ def test_conj_minors_from_the_pivot_scan_equals_the_scan_of_l_with_v_last(monkey
     assert cases > 12000
 
 
+def test_vertex_minors_report_builds_l_with_v_last_only_for_a_witness(monkeypatch, simple7):
+    from critgroups.graphs import structure_matrix
+
+    g, s = simple7
+    record = graphs._Instance(g, s).vertex(2)
+    assert verify._vertex_minors_report(record).status == PASS
+    assert "matrix" not in vars(record)
+    monkeypatch.setattr(verify, "_CONJ_MINORS", failing_property(PropertyId.CONJ_MINORS))
+    report = verify._vertex_minors_report(record)
+    assert report.witness["matrix"] == [list(row) for row in structure_matrix(g, s, last_vertex=2).entries]
+
+
 def test_pivot_scan_past_the_stored_sizes_matches_the_smith_forms():
     """The pivot scan of an 11-vertex structure matrix against SNF(L) and every SNF(L').
 

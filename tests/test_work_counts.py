@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from functools import cached_property
 
 import pytest
 
@@ -16,6 +17,8 @@ COUNTED = ("validate_structure", "smith_normal_form", "star_clique_reduction", "
            "_MinorTable", "_Instance")
 # methods of the minor table whose calls are counted
 METHODS = ("fold", "_batch")
+# cached properties of an instance whose computations are counted
+PROPERTIES = ("primitive",)
 # classes whose constructions are counted: reports built, and matrices whose entries are checked
 BUILT = (verify.PropertyReport, linalg.IntegerMatrix)
 
@@ -30,11 +33,14 @@ def calls(monkeypatch) -> dict[str, int]:
     minors of one matrix.  ``fold`` counts the sizes those tables fold,
     and ``_batch`` the row sets they evaluate in one batch.  ``_Instance``
     counts the (graph, structure) instances built, each of them validated
-    once.  ``PropertyReport`` counts the reports built after import, which
-    leaves out the shared reports without a witness, and ``IntegerMatrix``
-    the matrices built through the constructor that checks every entry.
+    once.  ``primitive`` counts the primitive parts (h, L / h) an instance
+    computes, each a content pass over L; a reduction hands its output one
+    without computing it.  ``PropertyReport`` counts the reports built
+    after import, which leaves out the shared reports without a witness,
+    and ``IntegerMatrix`` the matrices built through the constructor that
+    checks every entry.
     """
-    counts = dict.fromkeys((*COUNTED, *METHODS, *(cls.__name__ for cls in BUILT)), 0)
+    counts = dict.fromkeys((*COUNTED, *METHODS, *PROPERTIES, *(cls.__name__ for cls in BUILT)), 0)
     for name in METHODS:
 
         def counting_method(table, *args, name=name, method=getattr(linalg._MinorTable, name)):
@@ -42,6 +48,15 @@ def calls(monkeypatch) -> dict[str, int]:
             return method(table, *args)
 
         monkeypatch.setattr(linalg._MinorTable, name, counting_method)
+    for name in PROPERTIES:
+
+        def counting_property(inst, name=name, compute=getattr(graphs._Instance, name).func):
+            counts[name] += 1
+            return compute(inst)
+
+        prop = cached_property(counting_property)
+        prop.__set_name__(graphs._Instance, name)
+        monkeypatch.setattr(graphs._Instance, name, prop)
     for cls in BUILT:
 
         def counting_init(self, *args, name=cls.__name__, init=cls.__init__, **kwargs):
@@ -71,7 +86,9 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     assert "summary: 130 pass, 0 fail, 0 not applicable" in out.getvalue()
     # one validation at the boundary plus the self-check of each of the 7
     # reductions, which the instance computes without validating L again;
-    # SNF(L) once, which also gives MINORFACTS_A and the operation family
+    # the primitive part of L once (its content is 1, so it is L itself),
+    # which every reduction reads; SNF(L) once, on that primitive part,
+    # which also gives MINORFACTS_A and the operation family
     # D_k(L), SNF(L') per vertex, which also gives D_k(L'), and the SNFs of
     # the two MINORFACTS_B submatrices of L, and one for MINORFACTS_C: the
     # D_k* of its corner submatrix come from the Smith form of that
@@ -92,6 +109,7 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
         "_Instance": 1,
         "fold": 7,
         "_batch": 92,
+        "primitive": 1,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
     }
@@ -108,8 +126,8 @@ def test_public_per_vertex_checks_share_one_instance(calls, simple7):
     # the CLI's counts: structure_matrix builds the instance, which
     # validates once and builds L.  The matrix checks read its SNF(L) and
     # its pivot scan, since m is its L, and every vertex check reads the
-    # same instance: one L and one SNF(L), and per vertex one reduction,
-    # its self-check, L' and SNF(L')
+    # same instance: one L, its primitive part and one SNF(L), and per
+    # vertex one reduction, its self-check, L' and SNF(L')
     assert calls == {
         "validate_structure": 8,
         "smith_normal_form": 11,
@@ -120,6 +138,7 @@ def test_public_per_vertex_checks_share_one_instance(calls, simple7):
         "_Instance": 1,
         "fold": 7,
         "_batch": 92,
+        "primitive": 1,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
     }
@@ -136,13 +155,14 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     # nonzero corner, of its inner block in 3 of the 5 with a zero corner
     # (the other 2 need none).  The 100 structure cases draw 43
     # distinct pairs at 78 distinct (pair, vertex) draws, and the campaign
-    # builds one instance per pair drawn: one validation, L, SNF(L) and the
-    # table of L for the pivot scan; and per distinct draw one reduction
-    # (self-check, L', SNF(L')), which does not validate the instance's
-    # pair again, and L with v last for CONJ_MINORS, which reads D_k(L)
-    # from SNF(L) and D_k* from the pivot scan: 43 + 78 validations and
-    # 43 + 2 * 78 matrices built.  Each of the 143 tables folds each of its
-    # sizes once.  None of the 2,900 reports fails, so
+    # builds one instance per pair drawn: one validation, L, its primitive
+    # part, SNF(L) and the table of L for the pivot scan; and per distinct
+    # draw one reduction (self-check, L', SNF(L')), which does not validate
+    # the instance's pair again.  CONJ_MINORS reads D_k(L) from SNF(L) and
+    # D_k* from the pivot scan, and builds L with v last only for the
+    # witness of a failure: 43 + 78 validations and 43 + 78 matrices
+    # built.  Each of the 143 tables folds each of its sizes once.  None
+    # of the 2,900 reports fails, so
     # none is built, and no matrix has its entries checked: the case
     # matrices come from ints the campaign draws, the others from entries
     # of matrices already built
@@ -151,11 +171,12 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
         "smith_normal_form": 482,
         "star_clique_reduction": 0,
         "_reduce": 78,
-        "_matrix": 199,
+        "_matrix": 121,
         "_MinorTable": 143,
         "_Instance": 43,
         "fold": 491,
         "_batch": 1531,
+        "primitive": 43,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
     }
@@ -173,18 +194,21 @@ def test_reduction_chain_validates_each_pair_once(calls, simple7):
     # starts, then each output once, by the reduction that made it; the
     # critical group and the next reduction of an output validate nothing.
     # One instance per pair: the first critical group builds the first, and
-    # each reduction records its output as one.  Each critical group builds
-    # its L; a reduction builds no matrix
+    # each reduction records its output as one, with the output's primitive
+    # part read off its own small ints.  So the first pair alone builds L
+    # and takes its content; every critical group takes the Smith form of
+    # a primitive part, and a reduction builds no matrix
     assert calls == {
         "validate_structure": k + 1,
         "smith_normal_form": k + 1,
         "star_clique_reduction": k,
         "_reduce": k,
-        "_matrix": k + 1,
+        "_matrix": 1,
         "_MinorTable": 0,
         "_Instance": k + 1,
         "fold": 0,
         "_batch": 0,
+        "primitive": 1,
         "PropertyReport": 0,
         "IntegerMatrix": 0,
     }
