@@ -20,10 +20,11 @@ at any vertex with any d value.
 A pair is validated once, when its :class:`_Instance` is built, which
 then holds L, its primitive part (h, L / h) with h the content of L,
 SNF(L), the group and the reductions, each built on first use; the Smith
-form and the reductions run on L / h.  ``instance_of`` keeps the last
-instance, the package's one module memo; a reduction records its
-self-checked output with its primitive part as the last instance, so a
-chain of reductions validates each pair once and takes one content.
+form and the reductions run on L / h.  A reduction builds the instance
+of its self-checked output, seeded with its primitive part: the one path
+to the invariants of L'.  ``instance_of`` keeps the last instance, the
+package's one module memo, where ``star_clique_reduction`` records its
+output, so a chain of reductions validates each pair once.
 """
 
 from __future__ import annotations
@@ -206,9 +207,9 @@ class CriticalGroup(Record):
         """The group of a structure matrix on n vertices from its Smith normal form.
 
         Such a matrix always has rank n - 1, so the group is the product of
-        Z/a over the first n - 1 invariant factors.  Their gcd c (or 1 if it is 0) divides
-        each, so |K| = c^(n-1) prod(a / c) on any list.  An instance hands it the Smith form
-        of its primitive part, whose c is 1, and scales the group by the content itself.
+        Z/a over the first n - 1 invariant factors, and its order is their product.  An
+        instance hands it the Smith form of its primitive part and scales the group by
+        the content itself, so the factors it multiplies stay small.
         """
         if snf.rank != n - 1:
             raise ArithmeticError(
@@ -216,8 +217,7 @@ class CriticalGroup(Record):
                 f"expected {n - 1}; this contradicts the structure equations"
             )
         factors = snf.diag[: n - 1]
-        c = gcd(*factors) or 1
-        return cls(factors, c ** len(factors) * prod([f // c for f in factors]))
+        return cls(factors, prod(factors))
 
     def describe(self) -> str:
         nontrivial = [f for f in self.invariant_factors if f != 1]
@@ -292,9 +292,16 @@ def structure_matrix(g: Multigraph, s: ArithmeticalStructure, last_vertex: int |
     inst = instance_of(g, s)
     if last_vertex is None:
         return inst.matrix
-    if not 0 <= last_vertex < g.n:
-        raise IndexError(f"vertex {last_vertex} out of range")
+    _check_vertex(last_vertex, g.n)
     return _matrix(g, s, last_vertex)
+
+
+def _check_vertex(v, n: int) -> None:
+    """Raise unless v is a vertex (0-based) of a graph on n vertices: TypeError for a bool or a non-int."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"vertex must be int, got {type(v).__name__}")
+    if not 0 <= v < n:
+        raise IndexError(f"vertex {v} out of range 0..{n - 1}")
 
 
 def _matrix(g: Multigraph, s: ArithmeticalStructure, last: int | None = None) -> IntegerMatrix:
@@ -336,30 +343,28 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
     The output is again a valid arithmetical structure; its matrix L' is
     exactly the condensation of L on the corner entry d[v] (see
     :func:`operation_matrix_consistency`).  It is validated here, at full
-    size, and recorded as the last instance with its primitive part
-    (h^2 g, Q / g), g the content of Q = L' / h^2, so reducing or
-    factoring it next validates nothing and builds no L'.
+    size, and its instance, seeded by :func:`_reduce`, is recorded as the
+    last instance, so reducing or factoring it next validates nothing and
+    builds no L'.
     """
     global _last_instance
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise GraphError("reduction needs at least two vertices")
-    if not 0 <= v < n:
-        raise IndexError(f"vertex {v} out of range 0..{n - 1}")
-    result, hh, q = _reduce(instance_of(g, s), v)
-    content, p = _primitive(q)
-    _last_instance = _Instance(result.graph, result.structure, valid=True)
-    _last_instance.primitive = hh * content, p
+    _check_vertex(v, g.n)
+    result, _last_instance = _reduce(instance_of(g, s), v)
     return result
 
 
-def _reduce(inst: _Instance, v: int) -> tuple[ReductionResult, int, IntegerMatrix]:
-    """:func:`star_clique_reduction` of an instance at a vertex in range, h^2 and Q = L' / h^2.
+def _reduce(inst: _Instance, v: int) -> tuple[ReductionResult, _Instance]:
+    """:func:`star_clique_reduction` of an instance at a vertex in range, and the output's instance.
 
     It reads the instance's primitive part (h, P = L / h) and computes the condensation
-    Q_ij = P_ij P_vv - P_iv P_vj of P on small ints; L' = h^2 Q, and Q is L' itself when
-    h is 1.  The output is still validated; a violation raises ArithmeticError.
+    Q_ij = P_ij P_vv - P_iv P_vj of P on small ints; L' = h^2 Q.  The output is still
+    validated (a violation raises ArithmeticError); its instance is built here, and only
+    here, seeded with its primitive part (h^2 g, Q / g), g the content of Q.
     """
+    import critgroups.linalg as linalg
+
     g, s = inst.graph, inst.structure
     h, p = inst.primitive
     rows, star = p.entries, p.entries[v]  # star[i] = P_vi = P_iv, as P is symmetric
@@ -388,7 +393,10 @@ def _reduce(inst: _Instance, v: int) -> tuple[ReductionResult, int, IntegerMatri
             f"reduction at vertex {v} produced an invalid structure: {violation.message}; "
             f"input mult={g.mult}, d={s.d}, r={s.r}"
         )
-    return ReductionResult(new_graph, new_structure, v, divisor), hh, q
+    out = _Instance(new_graph, new_structure, valid=True)
+    c, p = linalg._primitive(q)
+    out.primitive = hh * c, p
+    return ReductionResult(new_graph, new_structure, v, divisor), out
 
 
 def operation_matrix_consistency(g: Multigraph, s: ArithmeticalStructure, v: int) -> bool:
@@ -420,19 +428,6 @@ def instance_of(g: Multigraph, s: ArithmeticalStructure) -> _Instance:
     return inst
 
 
-def _primitive(m: IntegerMatrix) -> tuple[int, IntegerMatrix]:
-    """(h, m / h), h the content (the gcd of the entries) of m; m itself when h is 1.
-
-    The zero matrix (the one vertex with d = (0,)) has content 0 and gives (0, m).
-    """
-    h = 0
-    for row in m.entries:
-        h = gcd(h, *row)
-        if h == 1:
-            break
-    return (h, m) if h <= 1 else (h, type(m)._unchecked(tuple(tuple([x // h for x in row]) for row in m.entries)))
-
-
 def _snf_dk(snf: SnfResult) -> tuple[int, ...]:
     """(D_0, ..., D_min): the prefix products of the zero-padded Smith diagonal."""
     return tuple(accumulate(snf.diag, mul, initial=1))
@@ -442,13 +437,14 @@ class _Instance:
     """A (graph, structure) pair, validated once, and the invariants of its matrix L.
 
     Building it raises StructureError unless s is a structure on g, of the
-    same size; ``valid=True`` skips that for a reduction's checked output.
+    same size; ``valid=True`` skips that for a reduction's checked output,
+    which :func:`_reduce` alone builds, seeded with its ``primitive``.
     L, ``primitive`` = (h, P = L / h) with h the content of L (P is L when
     h is 1), SNF(L) = h SNF(P), ``dk`` = D_k(L), the group (read off SNF(P)
     and scaled by h) and the pivot scan of L (one scan of its minor table:
-    the profile of L and every vertex's D_k*) are built on first use; a
-    reduction hands its output its primitive part.  SNF(L) and the pivot
-    scan serve every vertex, as moving v last permutes rows and columns alike.
+    the profile of L and every vertex's D_k*) are built on first use.
+    SNF(L) and the pivot scan serve every vertex, as moving v last permutes
+    rows and columns alike.
     """
 
     def __init__(self, g: Multigraph, s: ArithmeticalStructure, valid: bool = False) -> None:
@@ -467,7 +463,9 @@ class _Instance:
 
     @cached_property
     def primitive(self) -> tuple[int, IntegerMatrix]:
-        return _primitive(self.matrix)
+        import critgroups.linalg as linalg
+
+        return linalg._primitive(self.matrix)
 
     @cached_property
     def primitive_snf(self) -> SnfResult:
@@ -509,10 +507,11 @@ class _Vertex:
     """What the operation family compares at one vertex v of an instance.
 
     ``matrix`` is L with v last, built on first use, ``m`` = d[v] and
-    ``g`` the gcd of its last row; ``alpha``/``alpha_p`` are the invariant
-    factors of L and of L' (a_k = alpha[k-1]) and ``order``/``order_p``
-    the group orders, from SNF(L) and ``snf_p`` = SNF(L').  ``dk``, D_k(L),
-    and ``dkp``, D_k(L'), are the prefix products of the two diagonals.
+    ``g`` the gcd of its last row; ``reduced`` is the instance of the
+    output of ``reduction``, as :func:`_reduce` seeds it.  ``alpha``/``alpha_p``
+    are the invariant factors of L and of L' (a_k = alpha[k-1]), ``order``/
+    ``order_p`` the group orders and ``dk``/``dkp`` D_k(L) and D_k(L'), read
+    off the two instances: from SNF(L) and SNF(L').
     D_k*(L with v last) comes on first use from the pivot scan of L, the
     scan whose profile the matrix family reads on L.  No SNF enters it,
     so THM_DKL_A compares values of different engines.
@@ -530,10 +529,8 @@ class _Vertex:
         self.gg = self.g * self.g
         self.alpha, self.order = inst.group.invariant_factors, inst.group.order
         # the instance has validated the pair: neither the reduction nor L with v last validates it again
-        self.reduction = _reduce(inst, v)[0]
-        self.reduced_matrix = self.reduction.matrix()
-        self.snf_p = linalg.smith_normal_form(self.reduced_matrix)
-        self.after = CriticalGroup.from_snf(self.snf_p, self.n - 1)
+        self.reduction, self.reduced = _reduce(inst, v)
+        self.after, self.dkp = self.reduced.group, self.reduced.dk
         self.alpha_p, self.order_p = self.after.invariant_factors, self.after.order
 
     @property
@@ -562,8 +559,3 @@ class _Vertex:
     def dk_star(self) -> tuple[int, ...]:
         """D_k*(L) with v last, k = 1..n."""
         return self.pivot_scan()[1][self.v]
-
-    @cached_property
-    def dkp(self) -> tuple[int, ...]:
-        """D_k(L'), k = 0..n-1, from SNF(L')."""
-        return _snf_dk(self.snf_p)

@@ -589,6 +589,16 @@ def _fold_divisibility(diag: list[int]) -> list[int]:
     return diag
 
 
+def _primitive(m: IntegerMatrix) -> tuple[int, IntegerMatrix]:
+    """(c, m / c), c the content of m (the gcd of its entries); m itself when c is 0 or 1."""
+    c = 0
+    for row in m.entries:
+        c = gcd(c, *row)
+        if c == 1:
+            break
+    return (c, m) if c <= 1 else (c, type(m)._unchecked(tuple(tuple([x // c for x in row]) for row in m.entries)))
+
+
 def smith_normal_form(m: IntegerMatrix) -> SnfResult:
     """Smith normal form diagonal of an integer matrix.
 
@@ -598,11 +608,11 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
     positive divisibility chain.  Three steps keep the integers small
     without changing the diagonal:
 
-    * The content c, the GCD of all entries (D_1), is divided out first,
-      and the folded diagonal is multiplied by c at the end.  Dividing by
-      c > 0 keeps the order of absolute values and every floor quotient,
-      so the elimination takes the same steps on entries c times smaller,
-      and gcd and lcm commute with scaling: SNF(c M) = c SNF(M).
+    * The content c, the GCD of all entries (D_1), is divided out first
+      by ``_primitive``, and the folded diagonal is multiplied by c at the
+      end.  Dividing by c > 0 keeps the order of absolute values and every
+      floor quotient, so the elimination takes the same steps on entries c
+      times smaller, and gcd and lcm commute with scaling: SNF(c M) = c SNF(M).
     * The pivot search stops after the first row that holds a unit: no
       nonzero entry is smaller, so the pivot is still the first minimum
       in row-major order.
@@ -611,16 +621,12 @@ def smith_normal_form(m: IntegerMatrix) -> SnfResult:
       operation with column t changes the pivot row only: that row alone
       is reduced modulo the pivot.
     """
-    c = 0
-    for row in m.entries:
-        c = gcd(c, *row)
-        if c == 1:
-            break
+    c, p = _primitive(m)
     rows, cols = m.rows, m.cols
     size = min(rows, cols)
     if c == 0:
         return SnfResult((0,) * size, 0)
-    a = [[x // c for x in row] for row in m.entries]
+    a = [list(row) for row in p.entries]
     diag: list[int] = []
     t = 0
     while t < size:

@@ -30,7 +30,7 @@ a check builds a report only when it fails.
 
 The inputs of the checks are computed once: a (graph, structure) pair
 becomes one validated ``graphs._Instance`` (L, SNF(L), the pivot scan of
-L and, per vertex, the reduction and what derives from it).  The CLI
+L and, per vertex, the reduction and its output's instance).  The CLI
 hands one to both families and a fuzz campaign keeps one per pair drawn.
 The public checks share ``graphs.instance_of``'s last instance, and its
 pivot scan and SNF(L) when their matrix is its L.
@@ -42,11 +42,12 @@ the matrix family D_k(M) and D_k*(M).  On L it is the instance's pivot
 scan, which also gives the operation family every vertex's D_k*(L), so
 ``verify --all-vertices`` scans L once for both families.  Smith
 forms: D_k is the product of the first k invariant factors, which gives
-the operation family D_k(L) and D_k(L') from SNF(L) and SNF(L'),
-MINORFACTS_B the D_k of each deletion submatrix from its SNF, and
-MINORFACTS_A the D_k(M) it divides into D_k*(M) from SNF(M).  D_k* of
-any matrix comes from one Smith form too (``linalg.corner_divisors``),
-which gives MINORFACTS_C the D_k* of its corner submatrix.  So
+the operation family D_k(L) and D_k(L') from SNF(L) and SNF(L'), read
+off L's instance and the one a reduction builds for L', MINORFACTS_B the
+D_k of each deletion submatrix from its SNF, and MINORFACTS_A the D_k(M)
+it divides into D_k*(M) from SNF(M).  D_k* of any matrix comes from one
+Smith form too (``linalg.corner_divisors``), which gives MINORFACTS_C the
+D_k* of its corner submatrix.  So
 THM_DKL_A, which equates D_k(L') with m^(k-1) D_{k+1}*(L), and
 MINORFACTS_A, B and C each compare a Smith form with a scan, and
 THM_DKL_B..D the Smith forms of two matrices: a wrong value of either
@@ -486,10 +487,8 @@ def _vertex_minors_report(record: _Vertex) -> PropertyReport:
 
 def _operation_reports(inst: _Instance, v: int, properties) -> list[PropertyReport]:
     """The reports of ``properties`` for the reduction of the instance at v (0-based)."""
-    n = inst.graph.n
-    if not 0 <= v < n:
-        raise IndexError(f"vertex {v} out of range 0..{n - 1}")
-    if n < 3:
+    graphs._check_vertex(v, inst.graph.n)
+    if inst.graph.n < 3:
         return [_NOT_APPLICABLE[prop.pid] for prop in properties]
     record = inst.vertex(v)
     return [prop.report(record) for prop in properties]

@@ -245,8 +245,11 @@ def test_structure_matrix_rejects_invalid_input(nonsimple):
     with pytest.raises(StructureError):
         structure_matrix(nonsimple, s)
     good = ArithmeticalStructure(NONSIMPLE_A_D, NONSIMPLE_A_R)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"vertex 4 out of range 0\.\.3"):
         structure_matrix(nonsimple, good, last_vertex=4)
+    for v in (True, False, 1.0):
+        with pytest.raises(TypeError):
+            structure_matrix(nonsimple, good, last_vertex=v)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +381,11 @@ def test_reduction_errors(nonsimple):
     with pytest.raises(GraphError):
         star_clique_reduction(single, ArithmeticalStructure((0,), (1,)), 0)
     good = ArithmeticalStructure(NONSIMPLE_A_D, NONSIMPLE_A_R)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"vertex 4 out of range 0\.\.3"):
         star_clique_reduction(nonsimple, good, 4)
+    for v in (True, False, 1.0):
+        with pytest.raises(TypeError):
+            star_clique_reduction(nonsimple, good, v)
     bad = ArithmeticalStructure((1, 1, 1, 1), (1, 1, 1, 1))
     with pytest.raises(StructureError):
         star_clique_reduction(nonsimple, bad, 0)
@@ -505,8 +511,13 @@ def test_seeded_primitive_part_matches_a_fresh_instance_down_to_one_vertex(seed,
 
     At every step of a chain the seeded instance must agree with a fresh one,
     which takes the content of the full L, and with the Smith form of the full
-    matrix.  The chains end at one vertex, d = (0,), whose content is 0.
+    matrix; so must the vertex record of the step's reduction, whose group and
+    D_k of L' come from the output instance that the reduction seeds.  The
+    chains end at one vertex, d = (0,), whose content is 0.
     """
+    from itertools import accumulate
+    from operator import mul
+
     from critgroups import graphs
     from critgroups.linalg import smith_normal_form
 
@@ -520,8 +531,12 @@ def test_seeded_primitive_part_matches_a_fresh_instance_down_to_one_vertex(seed,
         assert inst.group == fresh.group == CriticalGroup.from_snf(inst.snf, g.n)
         if g.n == 1:
             break
-        hh = inst.primitive[0] ** 2
-        res = star_clique_reduction(g, s, rng.randrange(g.n))
+        hh, u = inst.primitive[0] ** 2, rng.randrange(g.n)
+        res = star_clique_reduction(g, s, u)
+        record, out = inst.vertex(u), graphs._Instance(res.graph, res.structure)
+        snf_p = smith_normal_form(res.matrix())
+        assert record.dkp == out.dk == tuple(accumulate(snf_p.diag, mul, initial=1))
+        assert record.after == out.group == CriticalGroup.from_snf(snf_p, g.n - 1)
         g, s = res.graph, res.structure
         seeds.append(graphs._last_instance.primitive[0] // hh)
     assert s.d == (0,) and inst.primitive[0] == 0 and inst.group == CriticalGroup((), 1)

@@ -199,8 +199,13 @@ def test_operation_family_below_three_vertices_is_na():
 
 def test_operation_family_input_checks(nonsimple_a):
     g, s = nonsimple_a
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"vertex 4 out of range 0\.\.3"):
         verify_operation_theorems(g, s, 4)
+    for v in (True, False, 1.0):
+        with pytest.raises(TypeError):
+            verify_operation_theorems(g, s, v)
+        with pytest.raises(TypeError):
+            check_conjecture_alpha(g, s, v)
     bad = ArithmeticalStructure((1, 1, 1, 1), (1, 1, 1, 1))
     with pytest.raises(StructureError):
         verify_operation_theorems(g, bad, 0)
@@ -256,11 +261,11 @@ def test_shared_values_equal_direct_calls(nonsimple_b):
         reduced = star_clique_reduction(g, s, v)
         l_v = structure_matrix(g, s, last_vertex=v)
         assert record.reduction == reduced
-        assert record.reduced_matrix == structure_matrix(reduced.graph, reduced.structure)
+        assert record.reduced.matrix == structure_matrix(reduced.graph, reduced.structure)
         assert record.after == critical_group(reduced.graph, reduced.structure)
         direct = minor_gcd_profile(l_v)
         assert (record.dk, record.dk_star) == (direct.dk, direct.dk_star)
-        assert record.dkp == minor_gcd_profile(record.reduced_matrix).dk
+        assert record.dkp == minor_gcd_profile(record.reduced.matrix).dk
         assert inst.vertex(v) is record
     other = laplacian_structure(g)
     assert graphs.instance_of(g, other).structure == other
@@ -395,7 +400,7 @@ def test_dkp_equals_the_minor_scan_of_the_reduced_matrix():
         inst = graphs.instance_of(g, s)
         for v in range(g.n):
             record = inst.vertex(v)
-            assert record.dkp == minor_gcd_profile(record.reduced_matrix).dk, (s, v)
+            assert record.dkp == minor_gcd_profile(record.reduced.matrix).dk, (s, v)
             cases += 1
     assert cases > 3000
 
@@ -457,7 +462,7 @@ def test_operation_family_at_eleven_vertices():
             assert not any(r.failed for r in verify_operation_theorems(cycle, s, v)), (s, v)
             record = graphs.instance_of(cycle, s).vertex(v)
             assert record.dkp[n - 1] == 0
-            reduced, r_p = record.reduced_matrix, record.reduction.structure.r
+            reduced, r_p = record.reduced.matrix, record.reduction.structure.r
             for u in range(n - 1):
                 rest = [i for i in range(n - 1) if i != u]
                 assert record.dkp[n - 2] * r_p[u] ** 2 == determinant(reduced.submatrix(rest, rest))

@@ -21,7 +21,12 @@ minor table, whose sequences its scenarios change; they keep the
 ``profile.dk_star`` label of that value.  It reads
 D_k(L) from the diagonal of SNF(L) and D_k(L') from that of SNF(L'), so
 its ``snf(L).diag`` scenarios reach THM_DKL_B..D as well, and its
-``snf(L').diag`` scenarios THM_DKL_A..D.  Every report -- status,
+``snf(L').diag`` scenarios THM_DKL_A..D.  Both Smith forms come from an
+instance, L' from the one the reduction builds, which takes the form of
+its primitive part, M / c with c the content of M, and multiplies the
+diagonal by c: the seam sees SNF(L / c) and SNF(L' / c'), so a plus-one
+change reads as +c on the diagonal.  The L' of ``nonsimple4a-v4`` has
+c' = 4.  Every report -- status,
 witness and ``degenerate`` flag -- must equal the one in
 ``tests/golden/witnesses.json``, so the first failing comparison of each
 property keeps its k, its witness keys and its values.  To record the

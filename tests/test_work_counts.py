@@ -33,9 +33,10 @@ def calls(monkeypatch) -> dict[str, int]:
     minors of one matrix.  ``fold`` counts the sizes those tables fold,
     and ``_batch`` the row sets they evaluate in one batch.  ``_Instance``
     counts the (graph, structure) instances built, each of them validated
-    once.  ``primitive`` counts the primitive parts (h, L / h) an instance
-    computes, each a content pass over L; a reduction hands its output one
-    without computing it.  ``PropertyReport`` counts the reports built
+    once: a pair at the boundary, or a reduction's output, which the
+    reduction validates.  ``primitive`` counts the primitive parts
+    (h, L / h) an instance computes, each a content pass over L; a
+    reduction hands its output one without computing it.  ``PropertyReport`` counts the reports built
     after import, which leaves out the shared reports without a witness,
     and ``IntegerMatrix`` the matrices built through the constructor that
     checks every entry.
@@ -86,14 +87,16 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
     assert "summary: 130 pass, 0 fail, 0 not applicable" in out.getvalue()
     # one validation at the boundary plus the self-check of each of the 7
     # reductions, which the instance computes without validating L again;
-    # the primitive part of L once (its content is 1, so it is L itself),
-    # which every reduction reads; SNF(L) once, on that primitive part,
-    # which also gives MINORFACTS_A and the operation family
-    # D_k(L), SNF(L') per vertex, which also gives D_k(L'), and the SNFs of
-    # the two MINORFACTS_B submatrices of L, and one for MINORFACTS_C: the
-    # D_k* of its corner submatrix come from the Smith form of that
-    # submatrix condensed on its corner.  L is built once and each L'
-    # once; no check reads L with v last, so it is never built.  One minor
+    # one instance of the pair and one of each reduction's output; the
+    # primitive part of L once (its content is 1, so it is L itself),
+    # which every reduction reads, and none of an output, whose reduction
+    # hands it its own; SNF(L) once, on that primitive part, which also
+    # gives MINORFACTS_A and the operation family D_k(L), SNF(L') per
+    # vertex, on the output's primitive part, which also gives D_k(L'),
+    # and the SNFs of the two MINORFACTS_B submatrices of L, and one for
+    # MINORFACTS_C: the D_k* of its corner submatrix come from the Smith
+    # form of that submatrix condensed on its corner.  L is built once and
+    # no L', which no check reads; nor is L with v last.  One minor
     # table of L is folded once per size, by the pivot scan, whose profile
     # both matrix checks read and which gives every vertex its D_k*.  The
     # batched row sets pin how far that scan runs before its GCDs reach 1.
@@ -104,9 +107,9 @@ def test_verify_all_vertices_computes_each_invariant_once(calls):
         "smith_normal_form": 11,
         "star_clique_reduction": 0,
         "_reduce": 7,
-        "_matrix": 8,
+        "_matrix": 1,
         "_MinorTable": 1,
-        "_Instance": 1,
+        "_Instance": 8,
         "fold": 7,
         "_batch": 92,
         "primitive": 1,
@@ -127,15 +130,16 @@ def test_public_per_vertex_checks_share_one_instance(calls, simple7):
     # validates once and builds L.  The matrix checks read its SNF(L) and
     # its pivot scan, since m is its L, and every vertex check reads the
     # same instance: one L, its primitive part and one SNF(L), and per
-    # vertex one reduction, its self-check, L' and SNF(L')
+    # vertex one reduction, its self-check, the output's instance and its
+    # SNF(L'), but no L'
     assert calls == {
         "validate_structure": 8,
         "smith_normal_form": 11,
         "star_clique_reduction": 0,
         "_reduce": 7,
-        "_matrix": 8,
+        "_matrix": 1,
         "_MinorTable": 1,
-        "_Instance": 1,
+        "_Instance": 8,
         "fold": 7,
         "_batch": 92,
         "primitive": 1,
@@ -157,11 +161,12 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
     # distinct pairs at 78 distinct (pair, vertex) draws, and the campaign
     # builds one instance per pair drawn: one validation, L, its primitive
     # part, SNF(L) and the table of L for the pivot scan; and per distinct
-    # draw one reduction (self-check, L', SNF(L')), which does not validate
-    # the instance's pair again.  CONJ_MINORS reads D_k(L) from SNF(L) and
-    # D_k* from the pivot scan, and builds L with v last only for the
-    # witness of a failure: 43 + 78 validations and 43 + 78 matrices
-    # built.  Each of the 143 tables folds each of its sizes once.  None
+    # draw one reduction (self-check, the output's instance, SNF(L') on
+    # its primitive part, no L'), which does not validate the instance's
+    # pair again.  CONJ_MINORS reads D_k(L) from SNF(L) and D_k* from the
+    # pivot scan, and builds L with v last only for the witness of a
+    # failure: 43 + 78 validations and instances, and 43 matrices built.
+    # Each of the 143 tables folds each of its sizes once.  None
     # of the 2,900 reports fails, so
     # none is built, and no matrix has its entries checked: the case
     # matrices come from ints the campaign draws, the others from entries
@@ -171,9 +176,9 @@ def test_fuzz_campaign_computes_each_invariant_once_per_case(calls):
         "smith_normal_form": 482,
         "star_clique_reduction": 0,
         "_reduce": 78,
-        "_matrix": 121,
+        "_matrix": 43,
         "_MinorTable": 143,
-        "_Instance": 43,
+        "_Instance": 121,
         "fold": 491,
         "_batch": 1531,
         "primitive": 43,
