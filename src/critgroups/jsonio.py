@@ -13,12 +13,17 @@ too deeply for the parser, raise :class:`FileFormatError` like any other
 malformed file.  Saves build the whole text first, then overwrite an existing
 file in place (see :func:`_write`), so a save that fails on the int-to-str
 digit limit raises ``ValueError`` and leaves the old file as it was.
+Along a chain of reductions the entries are one big content times small
+cofactors; :func:`encode_ints` converts such a content to decimal once per list.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+from functools import cache
+from math import gcd
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,6 +42,40 @@ class FileFormatError(ValueError):
 def encode_int(x: int):
     """An int as itself, or as a decimal string beyond the 2**53 safe range."""
     return x if -SAFE_INT_LIMIT <= x <= SAFE_INT_LIMIT else str(x)
+
+
+# below this many bits, str() of each entry costs less than the gcd and the decimal product
+SHARED_CONTENT_BITS = 2048
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit, as before 3.10.7
+_ten_to = cache(lambda k: 10**k)
+
+
+@cache
+def _exact_decimal():
+    """``Decimal`` and a context whose products of ints are exact at any size, as in 3.12's ``_pylong``."""
+    import decimal  # on first use, so importing the package never loads decimal
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+    return decimal.Decimal, ctx
+
+
+def encode_ints(xs) -> list:
+    """``[encode_int(x) for x in xs]``, converting a big content c of the entries past 2**53 once.
+
+    Each such entry is ``str(c_dec * (x // c))``: linear, where ``str(x)`` is quadratic before CPython 3.12.
+    """
+    big = [x for x in xs if not -SAFE_INT_LIMIT <= x <= SAFE_INT_LIMIT]
+    c = gcd(*big) if len(big) > 1 else 1
+    if c.bit_length() < SHARED_CONTENT_BITS:
+        return [encode_int(x) for x in xs]
+    limit = _digit_limit()
+    for x in big:
+        if limit and abs(x) >= _ten_to(limit):
+            str(x)  # the interpreter's own ValueError, before anything is converted
+    Decimal, ctx = _exact_decimal()
+    c_dec = Decimal(str(c))
+    return [x if -SAFE_INT_LIMIT <= x <= SAFE_INT_LIMIT else str(ctx.multiply(c_dec, x // c)) for x in xs]
 
 
 def decode_int(value) -> int:
@@ -69,8 +108,9 @@ def encode_value(value):
 
 
 def graph_to_obj(g: Multigraph) -> dict:
-    edges = [[i + 1, j + 1, encode_int(m)] for i, j, m in g.edge_list()]
-    return {"n": g.n, "edges": edges}
+    edges = g.edge_list()
+    mults = encode_ints([m for _, _, m in edges])
+    return {"n": g.n, "edges": [[i + 1, j + 1, m] for (i, j, _), m in zip(edges, mults)]}
 
 
 def graph_from_obj(obj) -> Multigraph:
@@ -108,7 +148,7 @@ def graph_from_obj(obj) -> Multigraph:
 
 
 def structure_to_obj(s: ArithmeticalStructure) -> dict:
-    return {"d": [encode_int(x) for x in s.d], "r": [encode_int(x) for x in s.r]}
+    return {"d": encode_ints(s.d), "r": encode_ints(s.r)}
 
 
 def structure_from_obj(obj) -> ArithmeticalStructure:
@@ -131,7 +171,8 @@ def structure_from_obj(obj) -> ArithmeticalStructure:
 
 
 def matrix_to_obj(m: IntegerMatrix) -> list[list]:
-    return [[encode_int(x) for x in row] for row in m.entries]
+    flat = iter(encode_ints([x for row in m.entries for x in row]))
+    return [[next(flat) for _ in row] for row in m.entries]
 
 
 def matrix_from_obj(obj) -> IntegerMatrix:
@@ -192,17 +233,23 @@ def load_graph(path) -> Multigraph:
     return graph_from_obj(_load_json(path))
 
 
+def _text(x) -> str:
+    """The JSON text of an encoded int."""
+    return f'"{x}"' if isinstance(x, str) else int.__repr__(x)
+
+
 def _dumps(values: list, indent: str) -> str:
-    """``json.dumps(values, indent=2)`` nested at ``indent``: a list of encoded ints, or of such lists."""
+    """``json.dumps(values, indent=2)`` nested at ``indent``, for a list of encoded ints."""
     inner = indent + "  "
-    items = [_dumps(x, inner) if isinstance(x, list) else f'"{x}"' if isinstance(x, str) else int.__repr__(x)
-             for x in values]
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]" if values else "[]"
+    return f"[\n{inner}" + f",\n{inner}".join(map(_text, values)) + f"\n{indent}]" if values else "[]"
 
 
 def save_graph(path, g: Multigraph) -> None:
     """Write ``json.dumps(graph_to_obj(g), indent=2)`` and a newline; the text is built first."""
-    _write(path, f'{{\n  "n": {g.n},\n  "edges": {_dumps(graph_to_obj(g)["edges"], "  ")}\n}}\n')
+    edges = ",\n    ".join(f"[\n      {i},\n      {j},\n      {_text(m)}\n    ]"
+                             for i, j, m in graph_to_obj(g)["edges"])
+    edges = f"[\n    {edges}\n  ]" if edges else "[]"
+    _write(path, f'{{\n  "n": {g.n},\n  "edges": {edges}\n}}\n')
 
 
 def load_structure(path) -> ArithmeticalStructure:

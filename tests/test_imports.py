@@ -23,7 +23,7 @@ PACKAGE_ROOT = str(Path(critgroups.__file__).resolve().parents[1])
 
 # Runs cli.main on each argv given as a JSON argument and prints, per run,
 # its exit code, its stdout, the package modules loaded after it and
-# whether ``dataclasses`` is loaded by then.
+# whether ``dataclasses`` and ``decimal`` are loaded by then.
 CLI_PROBE = """
 import contextlib, io, json, sys
 from critgroups import cli
@@ -34,7 +34,7 @@ def run(argv):
         code = cli.main(argv)
     loaded = sorted(m for m in sys.modules if m.startswith("critgroups"))
     return {"code": code, "out": out.getvalue(), "loaded": loaded,
-            "dataclasses": "dataclasses" in sys.modules}
+            "dataclasses": "dataclasses" in sys.modules, "decimal": "decimal" in sys.modules}
 
 print(json.dumps([run(json.loads(arg)) for arg in sys.argv[1:]]))
 """
@@ -85,6 +85,18 @@ def test_no_command_loads_dataclasses(tmp_path):
     assert [(run["code"], run["dataclasses"]) for run in runs] == [(0, False)] * len(argvs)
     assert {"critgroups.graphs", "critgroups.linalg", "critgroups.verify", "critgroups.enumeration",
             "critgroups.jsonio"} <= set(runs[-1]["loaded"])
+
+
+def test_fixture_commands_load_no_decimal(tmp_path):
+    """Only saves of entries that share a content past the crossover load decimal."""
+    assert fresh_python("import sys, critgroups; print('decimal' in sys.modules)") == "False\n"
+    graph = str(fixture_path("simple7.graph.json"))
+    structure = str(fixture_path("simple7.structure.json"))
+    argvs = (["enumerate", graph, "--rmax", "2"], ["critgroup", graph, structure],
+             ["apply-op", graph, structure, "--vertex", "3", "--out", str(tmp_path / "reduced")],
+             ["verify", graph, structure, "--all-vertices"])
+    runs = json.loads(fresh_python(CLI_PROBE, *map(json.dumps, argvs)))
+    assert [(run["code"], run["decimal"]) for run in runs] == [(0, False)] * len(argvs)
 
 
 def test_package_import_loads_no_submodule_and_submodules_still_import():

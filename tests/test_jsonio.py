@@ -4,27 +4,36 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import stat
 import sys
+from contextlib import contextmanager
+from functools import cache
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critgroups import jsonio
 from critgroups.graphs import (
     ArithmeticalStructure,
     GraphError,
     Multigraph,
     StructureError,
+    star_clique_reduction,
     validate_structure,
 )
 from critgroups.jsonio import (
     SAFE_INT_LIMIT,
+    SHARED_CONTENT_BITS,
     FileFormatError,
     _dumps,
     decode_int,
     encode_int,
+    encode_ints,
     encode_value,
     fixture_path,
     graph_from_obj,
@@ -42,7 +51,24 @@ from critgroups.jsonio import (
 from critgroups.linalg import IntegerMatrix
 from critgroups.verify import FAIL, PropertyId, PropertyReport
 
-from conftest import NONSIMPLE_EDGES, SIMPLE7_D, SIMPLE7_R
+from conftest import NONSIMPLE_EDGES, SIMPLE7_D, SIMPLE7_R, seeded_structure
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # from 3.10.7 on
+needs_digit_limit = pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int-to-str digit limit before 3.10.7")
+
+
+@contextmanager
+def int_max_str_digits(limit: int):
+    """The int-to-str digit limit set to ``limit`` (0 lifts it), where the interpreter has one."""
+    if not HAS_DIGIT_LIMIT:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +121,45 @@ def test_decode_int_accepts_what_the_regex_accepts(s):
 @settings(max_examples=300)
 def test_decode_int_matches_the_regex_on_any_text(s):
     check_decode_int_against_the_regex(s)
+
+
+@st.composite
+def shared_content_lists(draw) -> list[int]:
+    """Multiples of one content, of 1 or of 2**2,000 to 2**40,000, mixed with ints near the 2**53 boundary."""
+    bits = draw(st.integers(2000, 40000))
+    content = draw(st.just(1) | st.integers(1 << bits, 1 << (bits + 1)))
+    cofactors = st.sampled_from([0, 1, -1, 2, -3, SAFE_INT_LIMIT + 1]) | st.integers(-(1 << 80), 1 << 80)
+    small = st.integers(-SAFE_INT_LIMIT - 1, SAFE_INT_LIMIT + 1)
+    return draw(st.lists(st.builds(mul, st.just(content), cofactors) | small, min_size=1, max_size=7))
+
+
+@given(shared_content_lists())
+@settings(max_examples=200)
+def check_encode_ints_against_encode_int(xs):
+    assert encode_ints(xs) == [encode_int(x) for x in xs]
+
+
+def test_encode_ints_is_encode_int_of_each_entry():
+    with int_max_str_digits(0):  # lifted, also while a failing example is printed
+        check_encode_ints_against_encode_int()
+
+
+@pytest.mark.parametrize("xs", [
+    [],
+    [3 << 3000],  # a single big entry
+    [3 << 3000, -(5 << 3000), 0, 7, -SAFE_INT_LIMIT],
+    [7**2000 * (SAFE_INT_LIMIT + 3), -(7**2000), 7**2000 * (1 << 90), SAFE_INT_LIMIT],
+], ids=["empty", "single", "power-of-two-content", "odd-content"])
+def test_encode_ints_shares_a_content_past_the_crossover(xs):
+    big = [x for x in xs if abs(x) > SAFE_INT_LIMIT]
+    assert len(big) < 2 or gcd(*big).bit_length() >= SHARED_CONTENT_BITS
+    assert encode_ints(xs) == [encode_int(x) for x in xs]
+
+
+def test_the_exact_context_multiplies_past_a_million_digits():
+    """The default Emax of 999,999 would raise decimal.Overflow here."""
+    Decimal, ctx = jsonio._exact_decimal()
+    assert str(ctx.multiply(Decimal("9" * 1_000_001), 3)) == "2" + "9" * 1_000_000 + "7"
 
 
 def test_encode_value_recurses():
@@ -238,26 +303,86 @@ SAVED = {
 }
 
 
+@cache
+def scaled_chain() -> list[tuple[Multigraph, ArithmeticalStructure]]:
+    """The pair at each step of a seeded chain of reductions from 8 vertices down to 3.
+
+    The first pair's entries are all multiples of 7**120, and the content about
+    doubles in bits per step: the last three steps share contents past
+    SHARED_CONTENT_BITS, in entries under 4,300 digits.
+    """
+    g, s = seeded_structure(random.Random(3), 8, 2, 2)
+    g = Multigraph(tuple(tuple(7**120 * m for m in row) for row in g.mult))
+    steps = [(g, ArithmeticalStructure(tuple(7**120 * x for x in s.d), s.r))]
+    while g.n > 3:
+        red = star_clique_reduction(*steps[-1], 0)
+        g = red.graph
+        steps.append((g, red.structure))
+    return steps
+
+
+for _k in range(6):
+    SAVED[f"chain-{8 - _k}-graph"] = lambda k=_k: scaled_chain()[k][0]
+    SAVED[f"chain-{8 - _k}-structure"] = lambda k=_k: scaled_chain()[k][1]
+
+
+def test_the_chain_shares_contents_past_the_crossover():
+    contents = [gcd(*s.d).bit_length() for _, s in scaled_chain()]
+    assert [bits >= SHARED_CONTENT_BITS for bits in contents] == [False] * 3 + [True] * 3
+    assert max(len(str(x)) for x in scaled_chain()[-1][1].d) < 4300
+
+
 @pytest.mark.parametrize("name", sorted(SAVED))
 def test_saved_text_is_json_dumps_with_indent_2(name, tmp_path):
     obj = SAVED[name]()
     graph = isinstance(obj, Multigraph)
-    save, to_obj = (save_graph, graph_to_obj) if graph else (save_structure, structure_to_obj)
+    save, load, to_obj = (save_graph, load_graph, graph_to_obj) if graph else \
+        (save_structure, load_structure, structure_to_obj)
     save(tmp_path / "f.json", obj)
     assert (tmp_path / "f.json").read_text() == json.dumps(to_obj(obj), indent=2) + "\n"
+    assert load(tmp_path / "f.json") == obj
 
 
-def test_dumps_lays_out_negative_and_nested_entries_like_json():
+def test_dumps_lays_out_negative_entries_like_json():
     row = [encode_int(x) for x in (0, -1, -SAFE_INT_LIMIT, -(SAFE_INT_LIMIT + 1), -(10**3999))]
-    for value in (row, [row, [], [7]], []):
+    for value in (row, [7], []):
         assert _dumps(value, "") == json.dumps(value, indent=2)
         assert f'{{\n  "k": {_dumps(value, "  ")}\n}}' == json.dumps({"k": value}, indent=2)
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("limit", [4300, 5000, 0])
+def test_shared_contents_save_up_to_the_digit_limit_and_raise_past_it(limit, tmp_path, monkeypatch):
+    """At limit k, 10**k - 1 saves and 10**k raises the interpreter's own error; a lifted limit saves both."""
+    k = limit or 4300
+    under, over = (10**k - 1, (10**k - 1) // 9 * 4), (10**k, 10**k // 2)
+    assert min(gcd(*under), gcd(*over)).bit_length() >= SHARED_CONTENT_BITS
+    for save, load, make in (
+        (save_graph, load_graph, lambda a, b: Multigraph.from_edges(3, [(0, 1, a), (1, 2, b)])),
+        (save_structure, load_structure, lambda a, b: ArithmeticalStructure((a, b), (1, 1))),
+    ):
+        path = tmp_path / f"{save.__name__}.json"
+        with int_max_str_digits(limit):
+            save(path, make(*under))
+            assert load(path) == make(*under)
+            if not limit:
+                save(path, make(*over))
+                assert load(path) == make(*over)
+                continue
+            with pytest.raises(ValueError) as direct:
+                str(10**k)
+            before = path.read_bytes()
+            with monkeypatch.context() as patched:
+                patched.setattr(jsonio, "_exact_decimal", lambda: pytest.fail("converted past the limit"))
+                with pytest.raises(ValueError) as excinfo:
+                    save(path, make(*over))
+        assert str(excinfo.value) == str(direct.value)
+        assert path.read_bytes() == before
+
+
+@needs_digit_limit
 def test_save_past_the_digit_limit_raises_and_keeps_the_old_file(tmp_path):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with int_max_str_digits(4300):
         huge = 10**4300
         for save, small, big in (
             (save_graph, Multigraph.from_edges(2, [(0, 1, 3)]), Multigraph.from_edges(2, [(0, 1, huge)])),
@@ -271,8 +396,6 @@ def test_save_past_the_digit_limit_raises_and_keeps_the_old_file(tmp_path):
                     save(target, big)
             assert path.read_bytes() == before
             assert not fresh.exists()
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def test_saves_overwrite_longer_and_shorter_files_in_place(tmp_path):
