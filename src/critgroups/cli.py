@@ -13,15 +13,17 @@ Subcommands:
 Vertex numbers on the command line are 1-based, matching the file format.
 Exit codes: 0 success (and all proven properties pass), 1 a proven
 property failed, 2 unreadable or malformed input file, 3 invalid graph or
-structure, 4 usage error (an output or witness file that cannot be written
-included), 5 internal error (any other exception).  A falsified open
-conjecture is reported and archived but does not fail the process.
+structure, 4 usage error (an output or witness file, or standard output,
+that cannot be written included), 5 internal error (any other
+exception).  A falsified open conjecture is reported and archived but
+does not fail the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -202,37 +204,18 @@ def _print_reports(reports, heading: str, json_bucket) -> None:
 
 
 def cmd_verify(args) -> int:
-    from .verify import (
-        FAIL,
-        NOT_APPLICABLE,
-        PASS,
-        PROVEN_IDS,
-        _CONJ_ALPHA,
-        _CONJ_MINORS,
-        _MATRIX_PROPERTIES,
-        _OPERATION_PROPERTIES,
-        _facts,
-        _operation_reports,
-    )
+    from .verify import FAIL, NOT_APPLICABLE, PASS, PROVEN_IDS, _instance_reports
 
     inst = _load_instance(args)
-    g = inst.graph
-    if args.all_vertices:
-        vertices = list(range(g.n))
-    else:
-        vertices = [_vertex_index(args, g.n)]
+    n = inst.graph.n
+    vertices = range(n) if args.all_vertices else [_vertex_index(args, n)]
     json_bucket = [] if args.json else None
     all_reports = []
 
-    facts = _facts(inst.matrix, inst)
-    matrix_reports = [prop.report(facts) for prop in (*_MATRIX_PROPERTIES, _CONJ_MINORS)]
-    all_reports.extend(matrix_reports)
-    _print_reports(matrix_reports, "matrix checks on L", json_bucket)
-
-    for v in vertices:
-        reports = _operation_reports(inst, v, (*_OPERATION_PROPERTIES, _CONJ_ALPHA))
+    for v, reports in _instance_reports(inst, vertices):
         all_reports.extend(reports)
-        _print_reports(reports, f"reduction checks at vertex {v + 1}", json_bucket)
+        _print_reports(reports, "matrix checks on L" if v is None else f"reduction checks at vertex {v + 1}",
+                       json_bucket)
 
     passed = sum(1 for r in all_reports if r.status == PASS)
     failed = [r for r in all_reports if r.status == FAIL]
@@ -413,7 +396,12 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             parser.print_help(sys.stderr)
             return 4
-        return int(args.func(args))
+        code = int(args.func(args))
+        sys.stdout.flush()  # a closed pipe then fails here, inside the handlers below
+        return code
+    except BrokenPipeError:  # the reader of standard output has gone
+        print("usage error: cannot write standard output: Broken pipe", file=sys.stderr)
+        return 4
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4
@@ -432,7 +420,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # reported by main: the interpreter's flush at exit must not report it again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

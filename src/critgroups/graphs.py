@@ -20,11 +20,12 @@ at any vertex with any d value.
 A pair is validated once, when its :class:`_Instance` is built, which
 then holds L, its primitive part (h, L / h) with h the content of L,
 SNF(L), the group and the reductions, each built on first use; the Smith
-form and the reductions run on L / h.  A reduction builds the instance
-of its self-checked output, seeded with its primitive part: the one path
-to the invariants of L'.  ``instance_of`` keeps the last instance, the
-package's one module memo, where ``star_clique_reduction`` records its
-output, so a chain of reductions validates each pair once.
+form and the reductions run on L / h.  A reduction validates its output
+by building its instance, the one way to validate a pair, and seeds it
+with its primitive part: the one path to the invariants of L'.
+``instance_of`` keeps the last instance, the package's one module memo,
+where ``star_clique_reduction`` records its output, so a chain of
+reductions validates each pair once.
 """
 
 from __future__ import annotations
@@ -195,29 +196,12 @@ class StructureViolation(Record):
 
 
 class CriticalGroup(Record):
-    """Invariant-factor decomposition of the critical group."""
+    """Invariant-factor decomposition of the critical group; ``_Instance.group`` reads it off SNF(L)."""
 
     __slots__ = ("invariant_factors", "order")
 
     def __init__(self, invariant_factors: tuple[int, ...], order: int) -> None:
         self._set(invariant_factors, order)
-
-    @classmethod
-    def from_snf(cls, snf: SnfResult, n: int) -> CriticalGroup:
-        """The group of a structure matrix on n vertices from its Smith normal form.
-
-        Such a matrix always has rank n - 1, so the group is the product of
-        Z/a over the first n - 1 invariant factors, and its order is their product.  An
-        instance hands it the Smith form of its primitive part and scales the group by
-        the content itself, so the factors it multiplies stay small.
-        """
-        if snf.rank != n - 1:
-            raise ArithmeticError(
-                f"a structure matrix on {n} vertices has Smith rank {snf.rank}, "
-                f"expected {n - 1}; this contradicts the structure equations"
-            )
-        factors = snf.diag[: n - 1]
-        return cls(factors, prod(factors))
 
     def describe(self) -> str:
         nontrivial = [f for f in self.invariant_factors if f != 1]
@@ -342,9 +326,9 @@ def star_clique_reduction(g: Multigraph, s: ArithmeticalStructure, v: int) -> Re
 
     The output is again a valid arithmetical structure; its matrix L' is
     exactly the condensation of L on the corner entry d[v] (see
-    :func:`operation_matrix_consistency`).  It is validated here, at full
-    size, and its instance, seeded by :func:`_reduce`, is recorded as the
-    last instance, so reducing or factoring it next validates nothing and
+    :func:`operation_matrix_consistency`).  :func:`_reduce` validates it at
+    full size by building its instance, which is recorded as the last
+    instance, so reducing or factoring it next validates nothing and
     builds no L'.
     """
     global _last_instance
@@ -359,9 +343,9 @@ def _reduce(inst: _Instance, v: int) -> tuple[ReductionResult, _Instance]:
     """:func:`star_clique_reduction` of an instance at a vertex in range, and the output's instance.
 
     It reads the instance's primitive part (h, P = L / h) and computes the condensation
-    Q_ij = P_ij P_vv - P_iv P_vj of P on small ints; L' = h^2 Q.  The output is still
-    validated (a violation raises ArithmeticError); its instance is built here, and only
-    here, seeded with its primitive part (h^2 g, Q / g), g the content of Q.
+    Q_ij = P_ij P_vv - P_iv P_vj of P on small ints; L' = h^2 Q.  Building the output's
+    instance validates it, and a violation, a fault of this code, raises ArithmeticError.
+    That instance is seeded here with its primitive part (h^2 g, Q / g), g the content of Q.
     """
     import critgroups.linalg as linalg
 
@@ -387,13 +371,13 @@ def _reduce(inst: _Instance, v: int) -> tuple[ReductionResult, _Instance]:
             f"input mult={g.mult}, d={s.d}, r={s.r}"
         ) from exc
     new_structure = ArithmeticalStructure(new_d, new_r)
-    violation = validate_structure(new_graph, new_d, new_r)
-    if violation is not None:
+    try:
+        out = _Instance(new_graph, new_structure)
+    except StructureError as exc:
         raise ArithmeticError(
-            f"reduction at vertex {v} produced an invalid structure: {violation.message}; "
+            f"reduction at vertex {v} produced an invalid structure: {exc}; "
             f"input mult={g.mult}, d={s.d}, r={s.r}"
-        )
-    out = _Instance(new_graph, new_structure, valid=True)
+        ) from exc
     c, p = linalg._primitive(q)
     out.primitive = hh * c, p
     return ReductionResult(new_graph, new_structure, v, divisor), out
@@ -437,23 +421,23 @@ class _Instance:
     """A (graph, structure) pair, validated once, and the invariants of its matrix L.
 
     Building it raises StructureError unless s is a structure on g, of the
-    same size; ``valid=True`` skips that for a reduction's checked output,
-    which :func:`_reduce` alone builds, seeded with its ``primitive``.
+    same size, for a pair at the boundary and a reduction's output alike;
+    :func:`_reduce` seeds the ``primitive`` of its output's instance.
     L, ``primitive`` = (h, P = L / h) with h the content of L (P is L when
-    h is 1), SNF(L) = h SNF(P), ``dk`` = D_k(L), the group (read off SNF(P)
-    and scaled by h) and the pivot scan of L (one scan of its minor table:
-    the profile of L and every vertex's D_k*) are built on first use.
+    h is 1), SNF(L) = h SNF(P), ``dk`` = D_k(L), the group (its factors
+    read off SNF(L), its order h^(n-1) times the product of P's) and the
+    pivot scan of L (one scan of its minor table: the profile of L and
+    every vertex's D_k*) are built on first use.
     SNF(L) and the pivot scan serve every vertex, as moving v last permutes
     rows and columns alike.
     """
 
-    def __init__(self, g: Multigraph, s: ArithmeticalStructure, valid: bool = False) -> None:
-        if not valid:
-            if s.n != g.n:
-                raise StructureError(f"structure has {s.n} vertices but the graph has {g.n}")
-            violation = validate_structure(g, s.d, s.r)
-            if violation is not None:
-                raise StructureError(violation.message)
+    def __init__(self, g: Multigraph, s: ArithmeticalStructure) -> None:
+        if s.n != g.n:
+            raise StructureError(f"structure has {s.n} vertices but the graph has {g.n}")
+        violation = validate_structure(g, s.d, s.r)
+        if violation is not None:
+            raise StructureError(violation.message)
         self.graph, self.structure = g, s
         self._vertices: dict[int, _Vertex] = {}
 
@@ -484,8 +468,12 @@ class _Instance:
 
     @cached_property
     def group(self) -> CriticalGroup:
-        h, k = self.primitive[0], CriticalGroup.from_snf(self.primitive_snf, self.graph.n)
-        return CriticalGroup(tuple([h * x for x in k.invariant_factors]), h ** (self.graph.n - 1) * k.order)
+        n, rank = self.graph.n, self.primitive_snf.rank
+        if rank != n - 1:
+            raise ArithmeticError(f"a structure matrix on {n} vertices has Smith rank {rank}, "
+                                  f"expected {n - 1}; this contradicts the structure equations")
+        order = self.primitive[0] ** (n - 1) * prod(self.primitive_snf.diag[: n - 1])
+        return CriticalGroup(self.snf.diag[: n - 1], order)
 
     @cached_property
     def pivot_scan(self):

@@ -510,18 +510,17 @@ def chio_condense(m: IntegerMatrix) -> IntegerMatrix:
     """
     if not m.is_square:
         raise ValueError(f"condensation needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n < 2:
+    if m.rows < 2:
         raise ValueError("condensation needs at least a 2x2 matrix")
-    e = m.entries
-    last = e[n - 1]
-    corner = last[n - 1]
-    return IntegerMatrix._unchecked(
-        tuple(
-            tuple(e[i][j] * corner - e[i][n - 1] * last[j] for j in range(n - 1))
-            for i in range(n - 1)
-        )
-    )
+    return _condense(m)
+
+
+def _condense(m: IntegerMatrix) -> IntegerMatrix:
+    """The condensation of m of any shape on its last entry b: ``row[j] * b - row[-1] * bottom[j]``
+    over every row but the bottom one and every column but the last."""
+    *rows, bottom = m.entries
+    b, others = bottom[-1], range(m.cols - 1)
+    return IntegerMatrix._unchecked(tuple(tuple(row[j] * b - row[-1] * bottom[j] for j in others) for row in rows))
 
 
 def _first_minor(entries, n: int, i: int, j: int) -> int:
@@ -724,9 +723,7 @@ def corner_divisors(m: IntegerMatrix) -> tuple[int, ...]:
     if size == 1:
         return (abs(b),)
     if b:
-        bottom = e[rows]
-        cond = IntegerMatrix._unchecked(
-            tuple(tuple(row[j] * b - row[cols] * bottom[j] for j in range(cols)) for row in e[:rows]))
+        cond = _condense(m)
         unit = abs(b)
         stars = [unit]
         scale = 1  # |b|^(k-1)

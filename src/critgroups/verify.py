@@ -30,10 +30,12 @@ a check builds a report only when it fails.
 
 The inputs of the checks are computed once: a (graph, structure) pair
 becomes one validated ``graphs._Instance`` (L, SNF(L), the pivot scan of
-L and, per vertex, the reduction and its output's instance).  The CLI
-hands one to both families and a fuzz campaign keeps one per pair drawn.
-The public checks share ``graphs.instance_of``'s last instance, and its
-pivot scan and SNF(L) when their matrix is its L.
+L and, per vertex, the reduction and its output's instance), a matrix
+one lazy ``_MatrixFacts``.  ``_instance_reports`` runs both families on
+an instance for the CLI; a fuzz campaign keeps one per pair drawn.  The
+public checks share ``graphs.instance_of``'s last instance, which only
+``verify_minor_properties`` and ``check_conjecture_minors`` read here, for
+its pivot scan and D_k(L) when their matrix is its L.
 
 Determinantal divisors come from two engines.  Minor scans: one minor
 table per matrix (``linalg._MinorTable``) evaluates each of its minors
@@ -77,7 +79,6 @@ from .graphs import ArithmeticalStructure, Multigraph, _Instance, _snf_dk, _Vert
 from .linalg import (
     IntegerMatrix,
     MinorGcdProfile,
-    SnfResult,
     _MinorTable,
     _desnanot_residual,
     _first_minor,
@@ -167,25 +168,17 @@ def divides(a: int, b: int) -> bool:
 
 
 class _MatrixFacts:
-    """What the matrix family compares on one matrix.
+    """What the matrix family compares on one matrix, each value computed on first use.
 
-    ``dk`` and ``dks`` come from the profile of the minor table of m
-    unless the caller gives them; the caller may give the profile too.
-    ``snf_dk``, the D_k that MINORFACTS_A divides into D_k*, comes from
-    SNF(m), which the caller may give as ``snf``.
+    ``dk`` and ``dks`` come from the profile of the minor table of m, and
+    ``snf_dk``, the D_k that MINORFACTS_A divides into D_k*, from SNF(m).
+    When m is an instance's L, :func:`_facts` assigns ``profile`` and
+    ``snf_dk`` from the instance, which fills those cached properties.
     """
 
-    def __init__(self, m: IntegerMatrix, dk: tuple[int, ...] | None = None,
-                 dks: tuple[int, ...] | None = None, snf: SnfResult | None = None,
-                 profile: MinorGcdProfile | None = None) -> None:
+    def __init__(self, m: IntegerMatrix) -> None:
         self.m = m
         self.size = min(m.rows, m.cols)
-        if profile is not None:
-            self.profile = profile  # fills the cached property
-        if dk is None:
-            dk, dks = self.profile.dk, self.profile.dk_star
-        self.dk, self.dks = dk, dks
-        self.snf = snf
 
     @property
     def payload(self) -> dict:
@@ -200,8 +193,16 @@ class _MatrixFacts:
         return _MinorTable(self.m).profile()
 
     @cached_property
+    def dk(self) -> tuple[int, ...]:
+        return self.profile.dk
+
+    @cached_property
+    def dks(self) -> tuple[int, ...]:
+        return self.profile.dk_star
+
+    @cached_property
     def snf_dk(self) -> tuple[int, ...]:
-        return _snf_dk(smith_normal_form(self.m) if self.snf is None else self.snf)
+        return _snf_dk(smith_normal_form(self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -452,27 +453,28 @@ def verify_minor_properties(m: IntegerMatrix) -> list[PropertyReport]:
     keeps the check linear in the profile cost while still exercising the
     interesting direction (the deleted line is never the corner line).
     """
-    facts = _facts(m)
+    facts = _facts(m, graphs._last_instance)
     return [prop.report(facts) for prop in _MATRIX_PROPERTIES]
 
 
 def check_conjecture_minors(m: IntegerMatrix) -> PropertyReport:
     """Open statement: D_k D_{k+1}* | D_k* D_{k+1} for every k = 1..min-1."""
-    return _CONJ_MINORS.report(_facts(m))
+    return _CONJ_MINORS.report(_facts(m, graphs._last_instance))
 
 
-def _facts(m: IntegerMatrix, inst: _Instance | None = None) -> _MatrixFacts:
-    """The facts of m.  When m is the L that ``inst`` (by default the last
-    instance) has built, MINORFACTS_A reads its SNF(L), and the profile
-    is the one of its pivot scan, which also gives every vertex its D_k*."""
-    inst = inst or graphs._last_instance
+def _facts(m: IntegerMatrix, inst: _Instance | None) -> _MatrixFacts:
+    """The facts of m.  When m is the L that ``inst`` has built, MINORFACTS_A
+    reads its D_k(L), from SNF(L), and the profile is the one of its pivot
+    scan, which also gives every vertex its D_k*."""
+    facts = _MatrixFacts(m)
     if inst is not None and vars(inst).get("matrix") is m:
-        return _MatrixFacts(m, snf=inst.snf, profile=inst.pivot_scan()[0])
-    return _MatrixFacts(m)
+        facts.snf_dk, facts.profile = inst.dk, inst.pivot_scan()[0]
+    return facts
 
 
 class _VertexMinorFacts(_MatrixFacts):
-    """The facts of L with v last that CONJ_MINORS reads; only a failing report's payload reads ``m``."""
+    """The facts of L with v last that CONJ_MINORS reads, ``dk`` and ``dks`` assigned from the
+    vertex record; only a failing report's payload reads ``m``."""
 
     m = property(lambda self: self.record.matrix)
 
@@ -492,6 +494,15 @@ def _operation_reports(inst: _Instance, v: int, properties) -> list[PropertyRepo
         return [_NOT_APPLICABLE[prop.pid] for prop in properties]
     record = inst.vertex(v)
     return [prop.report(record) for prop in properties]
+
+
+def _instance_reports(inst: _Instance, vertices: Iterable[int]):
+    """What ``critgroups verify`` runs: (None, the matrix family and CONJ_MINORS on L), then
+    (v, the operation family and CONJ_ALPHA at v) for each vertex v (0-based)."""
+    facts = _facts(inst.matrix, inst)
+    yield None, [prop.report(facts) for prop in (*_MATRIX_PROPERTIES, _CONJ_MINORS)]
+    for v in vertices:
+        yield v, _operation_reports(inst, v, (*_OPERATION_PROPERTIES, _CONJ_ALPHA))
 
 
 def verify_operation_theorems(g: Multigraph, s: ArithmeticalStructure, v: int) -> list[PropertyReport]:

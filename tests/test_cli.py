@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
@@ -219,6 +220,39 @@ def test_usage_errors_exit_4(capsys):
     assert run_cli(capsys, "enumerate", NONSIMPLE_GRAPH, "--rmax", "0")[0] == 4
     assert run_cli(capsys, "apply-op", NONSIMPLE_GRAPH, NONSIMPLE_A, "--vertex", "9", "--out", "x")[0] == 4
     assert run_cli(capsys, "apply-op", NONSIMPLE_GRAPH, NONSIMPLE_A, "--vertex", "0", "--out", "x")[0] == 4
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_standard_output_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["fuzz", "--cases", "5"])
+    assert (code, capsys.readouterr().err) == (4, "usage error: cannot write standard output: Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_pipe_on_standard_output_exits_4(unbuffered):
+    """The pipe's read end is closed before the process starts, so its writes fail every time, unlike ``| head``.
+
+    Unbuffered, the first print fails; buffered, the flush at the end of the
+    command does, and the interpreter's own flush at exit must report nothing more.
+    """
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: x for k, x in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "critgroups.cli", "fuzz", "--cases", "5"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (4, "usage error: cannot write standard output: Broken pipe\n")
 
 
 def test_internal_error_exits_5(capsys, monkeypatch):

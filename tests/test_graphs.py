@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from critgroups import graphs
 from critgroups.graphs import (
     ArithmeticalStructure,
     CriticalGroup,
@@ -298,12 +299,15 @@ def test_critical_group_of_laplacians():
 @example([-2, 4, -8], 10**40)
 @settings(max_examples=300)
 def test_order_from_snf_is_the_product_of_any_diagonal(diag, scale):
-    # the witness tests hand from_snf corrupted diagonals (an entry +1, or 0)
-    diag = tuple(x * scale for x in diag)
+    # an instance's group reads its seeded primitive part (h, P) and SNF(P) only; the
+    # witness tests corrupt that Smith diagonal (an entry +1, or 0)
     n = len(diag) + 1
-    group = CriticalGroup.from_snf(SnfResult(diag + (0,), n - 1), n)
-    assert group.invariant_factors == diag
-    assert group.order == prod(diag)
+    g = Multigraph.path(n)
+    inst = graphs._Instance(g, laplacian_structure(g))
+    inst.primitive, inst.primitive_snf = (scale, inst.matrix), SnfResult(tuple(diag) + (0,), n - 1)
+    diag = tuple(x * scale for x in diag)
+    assert inst.group.invariant_factors == diag
+    assert inst.group.order == prod(diag)
 
 
 def test_describe_drops_unit_factors():
@@ -467,6 +471,29 @@ def scaled(g: Multigraph, s: ArithmeticalStructure, h: int):
     return Multigraph(mult), ArithmeticalStructure(tuple(h * x for x in s.d), s.r)
 
 
+@pytest.mark.parametrize("entries, error, message", [
+    ({(0, 0): 4}, ArithmeticError,
+     "reduction at vertex 6 produced an invalid structure: vertex 0: d[0]*r[0] = 12 but neighbors sum to 9"),
+    ({(0, 1): 5, (1, 0): 5}, GraphError,
+     "reduction at vertex 6 produced an invalid graph (negative multiplicity at (0, 1))"),
+])
+def test_reduction_rejects_the_output_of_a_corrupted_primitive_part(simple7, entries, error, message):
+    """A reduction validates its output, so a wrong P = L / h behind it raises with the input attached.
+
+    simple7 has content 1, so P is L; P[0][0] + 1 breaks vertex 0's equation in
+    the output, and P[0][1] = P[1][0] = 5 makes an output multiplicity negative.
+    """
+    g, s = simple7
+    inst = graphs._Instance(g, s)
+    rows = [list(row) for row in inst.matrix.entries]
+    for (i, j), x in entries.items():
+        rows[i][j] = x
+    inst.primitive = 1, IntegerMatrix.from_rows(rows)
+    with pytest.raises(error) as info:
+        graphs._reduce(inst, 6)
+    assert str(info.value) == f"{message}; input mult={g.mult}, d={s.d}, r={s.r}"
+
+
 @pytest.mark.parametrize("h", [2, 6, 10**40])
 def test_reduction_of_scaled_input_is_h_squared_times_the_reduction(simple7, nonsimple_a, nonsimple_b, h):
     # every multiplicity of the doubled path is even, but d is not: its content is 1
@@ -518,7 +545,6 @@ def test_seeded_primitive_part_matches_a_fresh_instance_down_to_one_vertex(seed,
     from itertools import accumulate
     from operator import mul
 
-    from critgroups import graphs
     from critgroups.linalg import smith_normal_form
 
     rng = random.Random(seed)
@@ -528,7 +554,8 @@ def test_seeded_primitive_part_matches_a_fresh_instance_down_to_one_vertex(seed,
         inst, fresh = graphs.instance_of(g, s), graphs._Instance(g, s)
         assert inst.primitive == fresh.primitive
         assert inst.snf == fresh.snf == smith_normal_form(structure_matrix(g, s))
-        assert inst.group == fresh.group == CriticalGroup.from_snf(inst.snf, g.n)
+        diag = inst.snf.diag[: g.n - 1]
+        assert inst.group == fresh.group == CriticalGroup(diag, prod(diag))
         if g.n == 1:
             break
         hh, u = inst.primitive[0] ** 2, rng.randrange(g.n)
@@ -536,7 +563,8 @@ def test_seeded_primitive_part_matches_a_fresh_instance_down_to_one_vertex(seed,
         record, out = inst.vertex(u), graphs._Instance(res.graph, res.structure)
         snf_p = smith_normal_form(res.matrix())
         assert record.dkp == out.dk == tuple(accumulate(snf_p.diag, mul, initial=1))
-        assert record.after == out.group == CriticalGroup.from_snf(snf_p, g.n - 1)
+        diag = snf_p.diag[: g.n - 2]
+        assert record.after == out.group == CriticalGroup(diag, prod(diag))
         g, s = res.graph, res.structure
         seeds.append(graphs._last_instance.primitive[0] // hh)
     assert s.d == (0,) and inst.primitive[0] == 0 and inst.group == CriticalGroup((), 1)

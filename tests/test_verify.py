@@ -433,7 +433,7 @@ def test_minorfacts_a_compares_the_smith_form_with_the_scan(monkeypatch):
 
     def wrong_snf(x):
         snf = real_snf(x)
-        return snf if x != m else verify.SnfResult((snf.diag[0] + 1, *snf.diag[1:]), snf.rank)
+        return snf if x != m else linalg.SnfResult((snf.diag[0] + 1, *snf.diag[1:]), snf.rank)
 
     def wrong_corner_minors(table, k, ri):
         return [x + (ri[-1] == table.rows - 1) for x in real_batch(table, k, ri)]
@@ -670,7 +670,9 @@ def test_injected_failures_on_redrawn_pairs_equal_the_loop(monkeypatch):
 
     def wrong_d1(x):
         if x.m.rows == 4:
-            x = verify._MatrixFacts(x.m, (1, x.dk[1] + 1, *x.dk[2:]), x.dks)
+            wrong = verify._MatrixFacts(x.m)
+            wrong.dk, wrong.dks = (1, x.dk[1] + 1, *x.dk[2:]), x.dks
+            x = wrong
         return real_minors.comparisons(x)
 
     monkeypatch.setattr(linalg, "row_gcd", lambda m, i: 0 if m.rows == 4 else real_row_gcd(m, i))
